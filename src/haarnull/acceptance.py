@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .codec import decode, encode, separation_gap
 from .eset import (
@@ -32,7 +32,13 @@ from .measures import (
     translate_measure,
     uniform,
 )
-from .report import BUDGET_EXCEEDED, FAIL, PASS
+from .report import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FAIL,
+    PASS,
+    VerificationReport,
+)
 from .witness import (
     DEFICIENCY_LOWER_BOUND,
     is_witness_prefix,
@@ -43,6 +49,7 @@ from .witness import (
 
 __all__ = [
     "CriterionResult",
+    "codec_roundtrip_scan",
     "criterion_codec_roundtrip",
     "criterion_order_isomorphism",
     "criterion_coding_recurrences",
@@ -52,6 +59,7 @@ __all__ = [
     "criterion_deficiency_bound",
     "criterion_encoded_set_checks",
     "criterion_witness_prefix_oracle",
+    "restrict_normalize_instances",
     "random_coordinate_measure",
     "random_cylinder",
     "random_graph_dataset",
@@ -87,30 +95,46 @@ def _result(
     return CriterionResult(key, description, not failures, detail, elapsed)
 
 
-def criterion_codec_roundtrip(
-    limit: int = 10**6, time_limit: float = 5.0
-) -> CriterionResult:
-    """Both codec directions are mutually inverse below `limit`, within time_limit."""
-    started = time.perf_counter()
-    failures: list = []
+def _roundtrip_failure(triple: tuple[int, int, int], code: int) -> str:
+    return (
+        f"triple {triple} encodes to {encode(*triple)}, "
+        f"code {code} decodes to {decode(code).as_tuple()}"
+    )
+
+
+def codec_roundtrip_scan(limit: int) -> tuple[int, Optional[str]]:
+    """Scan both codec directions below `limit`, stopping at the first failure.
+
+    Every code m < limit must re-encode to itself after decoding, and every
+    triple whose code is below `limit` must decode back to itself.  Returns
+    the number of triples round-tripped and the failure, or None.
+    """
     for m in range(limit):
         t = decode(m)
         if encode(t.n, t.b, t.z) != m:
-            failures.append(f"code {m} decodes to {t.as_tuple()}")
-            break
+            return 0, _roundtrip_failure(t.as_tuple(), m)
     triples = 0
     n = 1
-    while not failures and encode(n, 0, 0) < limit:
+    while encode(n, 0, 0) < limit:
         for b in (0, 1):
             for z in range(n + 2):
                 code = encode(n, b, z)
                 if code >= limit:
                     break
                 if decode(code).as_tuple() != (n, b, z):
-                    failures.append(f"triple ({n}, {b}, {z}) does not round-trip")
-                    break
+                    return triples, _roundtrip_failure((n, b, z), code)
                 triples += 1
         n += 1
+    return triples, None
+
+
+def criterion_codec_roundtrip(
+    limit: int = 10**6, time_limit: float = 5.0
+) -> CriterionResult:
+    """Both codec directions are mutually inverse below `limit`, within time_limit."""
+    started = time.perf_counter()
+    triples, failure = codec_roundtrip_scan(limit)
+    failures = [failure] if failure else []
     elapsed = time.perf_counter() - started
     if elapsed >= time_limit:
         failures.append(f"took {elapsed:.2f}s, limit {time_limit}s")
@@ -225,15 +249,18 @@ def random_cylinder(
     return CylinderSet(len(box), prefixes)
 
 
-def criterion_restrict_normalize(
-    seed: int, instances: int = 100, time_limit: float = 60.0
-) -> CriterionResult:
-    """All four flattening identities hold on randomized instances."""
-    started = time.perf_counter()
-    failures: list = []
+def restrict_normalize_instances(
+    seed: int, instances: int, max_depth: int
+) -> Iterator[tuple[int, VerificationReport]]:
+    """Check the flattening identities on random instances of depth <= max_depth.
+
+    Each instance draws a spec, synthesizes its witness, and verifies a
+    random cylinder set around the witness box (about 3 in 10 of them
+    cut to a random depth).  Yields (index, report) pairs.
+    """
     rng = Random(seed)
     for i in range(instances):
-        d = rng.randint(1, 5)
+        d = rng.randint(1, max_depth)
         spec = ProductMeasureSpec(
             tuple(random_coordinate_measure(rng) for _ in range(d))
         )
@@ -241,7 +268,16 @@ def criterion_restrict_normalize(
         shifted, _ = shift_to_nonpositive(spec)
         box = tuple((0, w) for w in trace.witness)
         X = random_cylinder(rng, box[: d if rng.random() < 0.7 else rng.randint(0, d)])
-        report = verify_restrict_normalize(shifted, trace, X)
+        yield i, verify_restrict_normalize(shifted, trace, X)
+
+
+def criterion_restrict_normalize(
+    seed: int, instances: int = 100, time_limit: float = 60.0
+) -> CriterionResult:
+    """All four flattening identities hold on randomized instances."""
+    started = time.perf_counter()
+    failures: list = []
+    for i, report in restrict_normalize_instances(seed, instances, max_depth=5):
         if not report.passed:
             failures.append(f"instance {i} fails: {report.counterexample}")
             break
@@ -366,7 +402,7 @@ def random_graph_dataset(
 
 
 def criterion_encoded_set_checks(
-    seed: int, datasets: int = 100, budget: int = 10**7
+    seed: int, datasets: int = 100, budget: int = DEFAULT_BUDGET
 ) -> CriterionResult:
     """Both checkers pass random valid datasets and fail a boundary control."""
     started = time.perf_counter()
@@ -434,7 +470,7 @@ def _witness_prefix_oracle(
 
 
 def criterion_witness_prefix_oracle(
-    seed: int, instances: int = 50, budget: int = 10**7
+    seed: int, instances: int = 50, budget: int = DEFAULT_BUDGET
 ) -> CriterionResult:
     """The translate scan agrees with a naive oracle, counterexamples included."""
     started = time.perf_counter()
@@ -475,7 +511,7 @@ def criterion_witness_prefix_oracle(
     )
 
 
-def run_all(seed: int = 42, budget: int = 10**7) -> list[CriterionResult]:
+def run_all(seed: int = 42, budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
     """Run the nine acceptance criteria with per-criterion derived seeds."""
 
     def sub(index: int) -> int:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
 from typing import Optional, Sequence
 
-from .acceptance import random_coordinate_measure, random_cylinder, run_all
+from .acceptance import codec_roundtrip_scan, restrict_normalize_instances, run_all
 from .codec import decode, encode
 from .eset import (
     GraphDataParseError,
@@ -34,20 +33,14 @@ from .eset import (
     load_graph_data,
 )
 from .measures import ProductMeasureSpec, UnsupportedDepthError, materialize
-from .report import VerificationReport
+from .report import DEFAULT_BUDGET, VerificationReport
 from .serialization import (
     cylinder_from_dict,
     fraction_to_str,
     jsonify,
     spec_from_dict,
 )
-from .witness import (
-    DEFAULT_BUDGET,
-    is_witness_prefix,
-    shift_to_nonpositive,
-    synthesize_witness,
-    verify_restrict_normalize,
-)
+from .witness import is_witness_prefix, synthesize_witness
 
 __all__ = ["main"]
 
@@ -106,27 +99,7 @@ def cmd_codec_decode(args) -> int:
 def cmd_codec_roundtrip(args) -> int:
     if args.max < 1:
         raise ValueError(f"--max must be >= 1, got {args.max}")
-    failure = None
-    for m in range(args.max):
-        t = decode(m)
-        if encode(t.n, t.b, t.z) != m:
-            failure = f"code {m} decodes to {t.as_tuple()}"
-            break
-    triples = 0
-    n = 1
-    while failure is None and encode(n, 0, 0) < args.max:
-        for b in (0, 1):
-            for z in range(n + 2):
-                code = encode(n, b, z)
-                if code >= args.max:
-                    break
-                if decode(code).as_tuple() != (n, b, z):
-                    failure = f"triple ({n}, {b}, {z}) encodes to {code}"
-                    break
-                triples += 1
-            if failure:
-                break
-        n += 1
+    triples, failure = codec_roundtrip_scan(args.max)
     status = "fail" if failure else "pass"
     if args.output == "json":
         out = {"checked_codes": args.max, "checked_triples": triples, "status": status}
@@ -171,20 +144,13 @@ def cmd_witness_verify_claim(args) -> int:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
     if args.instances < 1:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
-    rng = Random(args.seed)
-    failures = []
-    for i in range(args.instances):
-        d = rng.randint(1, args.depth)
-        spec = ProductMeasureSpec(
-            tuple(random_coordinate_measure(rng) for _ in range(d))
+    failures = [
+        {"instance": i, "report": report.to_json_dict()}
+        for i, report in restrict_normalize_instances(
+            args.seed, args.instances, max_depth=args.depth
         )
-        trace = synthesize_witness(spec)
-        shifted, _ = shift_to_nonpositive(spec)
-        box = tuple((0, w) for w in trace.witness)
-        X = random_cylinder(rng, box)
-        report = verify_restrict_normalize(shifted, trace, X)
-        if not report.passed:
-            failures.append({"instance": i, "report": report.to_json_dict()})
+        if not report.passed
+    ]
     passed = args.instances - len(failures)
     if args.output == "json":
         print(
@@ -209,14 +175,11 @@ def cmd_witness_verify_claim(args) -> int:
 
 def cmd_witness_check_prefix(args) -> int:
     raw = _read_json(args.witness)
-    if isinstance(raw, list):
-        witness = raw
-    elif isinstance(raw, dict) and "witness" in raw:
-        witness = raw["witness"]
-    else:
+    witness = raw.get("witness") if isinstance(raw, dict) else raw
+    if not isinstance(witness, list):
         raise ValueError(
             "witness file must be a JSON list or an object with a "
-            '"witness" field'
+            '"witness" list'
         )
     cyl = cylinder_from_dict(_read_json(args.cylinder))
     report = is_witness_prefix(tuple(witness), cyl, budget=args.budget)
@@ -236,7 +199,12 @@ def _load_encoded_set(args):
     )
 
 
-def _run_eset_check(args, checker) -> int:
+def _run_on_encoded_set(args, render) -> int:
+    """Load the input set and return render(set); bad data exit with 1.
+
+    Syntax and shape errors (`GraphDataParseError`) propagate to `main`,
+    which exits with 2.
+    """
     try:
         es = _load_encoded_set(args)
     except GraphDataParseError:
@@ -244,18 +212,11 @@ def _run_eset_check(args, checker) -> int:
     except ValueError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 1
-    return _print_report(checker(es), args.output)
+    return render(es)
 
 
-def cmd_eset_build(args) -> int:
-    try:
-        es = _load_encoded_set(args)
-    except GraphDataParseError:
-        raise
-    except ValueError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return 1
-    if args.output == "json":
+def _print_encoded_set(es, output: str) -> int:
+    if output == "json":
         print(_dump(encoded_set_to_dict(es)))
     else:
         print(f"depth: {es.depth}")
@@ -265,13 +226,20 @@ def cmd_eset_build(args) -> int:
     return 0
 
 
+def cmd_eset_build(args) -> int:
+    return _run_on_encoded_set(args, lambda es: _print_encoded_set(es, args.output))
+
+
 def cmd_eset_gap(args) -> int:
-    return _run_eset_check(args, check_pairwise_gap)
+    return _run_on_encoded_set(
+        args, lambda es: _print_report(check_pairwise_gap(es), args.output)
+    )
 
 
 def cmd_eset_coinflip(args) -> int:
-    return _run_eset_check(
-        args, lambda es: coinflip_bound(es, budget=args.budget)
+    return _run_on_encoded_set(
+        args,
+        lambda es: _print_report(coinflip_bound(es, budget=args.budget), args.output),
     )
 
 
@@ -298,7 +266,7 @@ def cmd_eset_acceptance(args) -> int:
         )
     else:
         for r in results:
-            print(r.line())
+            print(f"{r.line()} ({r.elapsed:.2f}s)")
         total = sum(r.elapsed for r in results)
         passed = sum(1 for r in results if r.passed)
         print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
@@ -415,9 +383,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except GraphDataParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

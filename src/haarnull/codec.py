@@ -37,7 +37,7 @@ def _check_size(n: int) -> int:
 
 
 def _check_bit(b: int) -> int:
-    if b not in (0, 1) or isinstance(b, bool):
+    if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
     return b
 

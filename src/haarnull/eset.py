@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .codec import PointPrefix, decode_point, encode_point
-from .report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
+from .report import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FAIL,
+    PASS,
+    VerificationReport,
+)
 
 __all__ = [
     "GraphDataParseError",
@@ -38,9 +44,6 @@ __all__ = [
     "encoded_set_from_dict",
     "DEFAULT_BUDGET",
 ]
-
-# Default cap on search-tree nodes for the coin-flip scan.
-DEFAULT_BUDGET = 10**7
 
 
 class GraphDataParseError(ValueError):
@@ -225,10 +228,6 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
     )
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Check that no translate of the point set hits {0, 1}^d twice.
 
@@ -238,67 +237,50 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
     finitely many r(k) that keep some survivor in {0, 1}, visited in
     increasing order, so a reported counterexample is the lexicographically
     least translate with two or more hits.  Each candidate visit costs one
-    unit of budget; exhaustion yields a budget-exceeded report.
+    unit of budget; exhaustion yields a budget-exceeded report.  The search
+    keeps its own stack, so its depth is not bounded by Python's recursion
+    limit.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     d = es.depth
-    if es.size < 2:
-        return VerificationReport(
-            claim="coinflip-bound",
-            status=PASS,
-            depth=d,
-            parameters={"points": es.size, "budget": budget, "nodes_visited": 0},
+    points = es.points
+
+    def candidates(k: int, alive: tuple[int, ...]):
+        return iter(
+            sorted({v for i in alive for v in (-points[i][k], 1 - points[i][k])})
         )
+
+    # One frame per coordinate being searched: (k, alive, r, candidates left).
+    everyone = tuple(range(es.size))
+    stack = [(0, everyone, (), candidates(0, everyone))] if es.size >= 2 else []
     visited = 0
-
-    def scan(k: int, alive: tuple[int, ...], r: tuple[int, ...]):
-        nonlocal visited
-        if k == d:
-            return r, alive
-        candidates = sorted(
-            {v for i in alive for v in (-es.points[i][k], 1 - es.points[i][k])}
-        )
-        for rk in candidates:
-            visited += 1
-            if visited > budget:
-                raise _BudgetExhausted
-            survivors = tuple(
-                i for i in alive if 0 <= es.points[i][k] + rk <= 1
-            )
-            if len(survivors) < 2:
-                continue
-            found = scan(k + 1, survivors, r + (rk,))
-            if found is not None:
-                return found
-        return None
-
-    try:
-        found = scan(0, tuple(range(es.size)), ())
-    except _BudgetExhausted:
-        return VerificationReport(
-            claim="coinflip-bound",
-            status=BUDGET_EXCEEDED,
-            depth=d,
-            parameters={
-                "points": es.size,
-                "budget": budget,
-                "nodes_visited": visited,
-            },
-        )
+    status = PASS
+    found = None
+    while stack:
+        k, alive, r, todo = stack[-1]
+        rk = next(todo, None)
+        if rk is None:
+            stack.pop()
+            continue
+        visited += 1
+        if visited > budget:
+            status = BUDGET_EXCEEDED
+            break
+        survivors = tuple(i for i in alive if 0 <= points[i][k] + rk <= 1)
+        if len(survivors) < 2:
+            continue
+        if k + 1 == d:
+            found = (r + (rk,), survivors)
+            break
+        stack.append((k + 1, survivors, r + (rk,), candidates(k + 1, survivors)))
+    parameters = {"points": es.size, "budget": budget, "nodes_visited": visited}
     if found is None:
         return VerificationReport(
-            claim="coinflip-bound",
-            status=PASS,
-            depth=d,
-            parameters={
-                "points": es.size,
-                "budget": budget,
-                "nodes_visited": visited,
-            },
+            claim="coinflip-bound", status=status, depth=d, parameters=parameters
         )
     r, alive = found
-    hits = [es.points[i] for i in alive]
+    hits = [points[i] for i in alive]
     return VerificationReport(
         claim="coinflip-bound",
         status=FAIL,
@@ -306,11 +288,7 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
         lhs=len(hits),
         rhs=1,
         counterexample={"r": r, "hits": hits},
-        parameters={
-            "points": es.size,
-            "budget": budget,
-            "nodes_visited": visited,
-        },
+        parameters=parameters,
     )
 
 
@@ -370,6 +348,7 @@ def encoded_set_to_dict(es: EncodedSet) -> dict:
 def encoded_set_from_dict(d: dict) -> EncodedSet:
     if not isinstance(d, dict) or set(d) != {"depth", "points"}:
         raise ValueError('expected an object with fields "depth" and "points"')
-    if not isinstance(d["points"], list):
+    points = d["points"]
+    if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
         raise ValueError('field "points" must be a list of point lists')
-    return EncodedSet(d["depth"], tuple(tuple(p) for p in d["points"]))
+    return EncodedSet(d["depth"], tuple(tuple(p) for p in points))

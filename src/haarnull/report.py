@@ -8,11 +8,15 @@ from typing import Any, Optional
 
 from .serialization import jsonify
 
-__all__ = ["PASS", "FAIL", "BUDGET_EXCEEDED", "VerificationReport"]
+__all__ = ["PASS", "FAIL", "BUDGET_EXCEEDED", "DEFAULT_BUDGET", "VerificationReport"]
 
 PASS = "pass"
 FAIL = "fail"
 BUDGET_EXCEEDED = "budget-exceeded"
+
+# Default cap on the work units of a budgeted search: translates for the
+# witness-prefix scan, search-tree nodes for the coin-flip scan.
+DEFAULT_BUDGET = 10**7
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 Rationals travel as "p/q" strings so every value survives a round trip
 exactly.  Integers are accepted on input wherever a rational is expected.
+Parsing is strict: integer fields must be JSON integers (no floats,
+booleans or strings), support points must be canonical decimal keys, and
+every malformed shape raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -60,6 +63,25 @@ def jsonify(obj: Any) -> Any:
     return obj
 
 
+def _list(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _point_from_key(key) -> int:
+    """A support point from a weights key; only canonical decimals like "-3"."""
+    if isinstance(key, str):
+        try:
+            z = int(key)
+        except ValueError:
+            pass
+        else:
+            if str(z) == key:
+                return z
+    raise ValueError(f"support point must be a canonical integer, got {key!r}")
+
+
 def measure_to_dict(m: FiniteMeasureZ) -> dict:
     return {
         "weights": {str(z): fraction_to_str(w) for z, w in sorted(m.weights.items())}
@@ -73,7 +95,7 @@ def measure_from_dict(d: dict) -> FiniteMeasureZ:
     if not isinstance(weights, dict):
         raise ValueError("'weights' must map integer points to rationals")
     return FiniteMeasureZ(
-        {int(z): fraction_from_str(w) for z, w in weights.items()}
+        {_point_from_key(z): fraction_from_str(w) for z, w in weights.items()}
     )
 
 
@@ -90,11 +112,13 @@ def _tail_from_dict(d) -> TailPolicy:
         return None
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"bad tail policy: {d!r}")
-    if d["kind"] == "uniform":
-        return UniformTail(int(d["k"]))
-    if d["kind"] == "point":
-        return PointMassTail(int(d["z"]))
-    raise ValueError(f"unknown tail kind: {d['kind']!r}")
+    kind = d["kind"]
+    if kind not in ("uniform", "point"):
+        raise ValueError(f"unknown tail kind: {kind!r}")
+    key = "k" if kind == "uniform" else "z"
+    if key not in d:
+        raise ValueError(f'{kind} tail needs a "{key}" field')
+    return UniformTail(d["k"]) if kind == "uniform" else PointMassTail(d["z"])
 
 
 def spec_to_dict(spec: ProductMeasureSpec) -> dict:
@@ -107,7 +131,7 @@ def spec_to_dict(spec: ProductMeasureSpec) -> dict:
 def spec_from_dict(d: dict) -> ProductMeasureSpec:
     if not isinstance(d, dict) or "prefix" not in d:
         raise ValueError("spec object needs a 'prefix' list")
-    prefix = tuple(measure_from_dict(m) for m in d["prefix"])
+    prefix = tuple(measure_from_dict(m) for m in _list(d["prefix"], "'prefix'"))
     return ProductMeasureSpec(prefix, _tail_from_dict(d.get("tail")))
 
 
@@ -118,6 +142,5 @@ def cylinder_to_dict(cyl: CylinderSet) -> dict:
 def cylinder_from_dict(d: dict) -> CylinderSet:
     if not isinstance(d, dict) or "depth" not in d or "prefixes" not in d:
         raise ValueError("cylinder object needs 'depth' and 'prefixes'")
-    return CylinderSet(
-        int(d["depth"]), tuple(tuple(int(v) for v in s) for s in d["prefixes"])
-    )
+    prefixes = _list(d["prefixes"], "'prefixes'")
+    return CylinderSet(d["depth"], tuple(tuple(_list(s, "prefix")) for s in prefixes))

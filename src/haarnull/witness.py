@@ -28,6 +28,7 @@ from .measures import (
     ProductMeasureSpec,
     UniformTail,
     UnsupportedDepthError,
+    _check_int,
     box_intersection_measure,
     box_measure,
     convolve,
@@ -38,7 +39,13 @@ from .measures import (
     uniform,
     uniform_product_spec,
 )
-from .report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
+from .report import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FAIL,
+    PASS,
+    VerificationReport,
+)
 
 __all__ = [
     "DEFICIENCY_LOWER_BOUND",
@@ -56,9 +63,6 @@ __all__ = [
 # produce.  The product evaluates to 0.57757619017...; the exact
 # partial-product-times-tail-bound certificate lives in the test suite.
 DEFICIENCY_LOWER_BOUND = Fraction(57, 100)
-
-# Default cap on brute-force translate evaluations.
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -314,7 +318,7 @@ def is_witness_prefix(
     nonempty set admits one; the scan's value is in agreeing with the naive
     full-lattice oracle and in feeding the encoded-set checks.
     """
-    wit = tuple(int(v) for v in witness)
+    wit = tuple(_check_int(v, "witness entry") for v in witness)
     for n, w in enumerate(wit):
         if w < 1:
             raise ValueError(f"witness entry {w} at coordinate {n} is not >= 1")

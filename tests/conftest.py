@@ -1,0 +1,11 @@
+"""Shared fixtures."""
+
+import pytest
+
+from haarnull.acceptance import run_all
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The acceptance battery at seed 42 with its default parameters, run once."""
+    return run_all(seed=42)

@@ -1,10 +1,19 @@
 """Command line tests: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from haarnull import acceptance, cli
+from haarnull.acceptance import CriterionResult, criterion_codec_roundtrip
 from haarnull.cli import main
+from haarnull.report import DEFAULT_BUDGET
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -54,6 +63,24 @@ class TestCodecCommands:
         data = json.loads(out)
         assert data["status"] == "pass"
         assert data["checked_codes"] == 200
+
+    def test_roundtrip_failure_matches_the_criterion(self, capsys, monkeypatch):
+        real = acceptance.decode
+        monkeypatch.setattr(
+            acceptance, "decode", lambda m: real(m + 1) if m == 100 else real(m)
+        )
+        expected = criterion_codec_roundtrip(limit=1000).detail
+        assert expected.startswith("triple ")
+        code, out, _ = run(
+            capsys, "codec", "roundtrip", "--max", "1000", "--output", "json"
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "fail"
+        assert data["counterexample"] == expected
+        code, out, _ = run(capsys, "codec", "roundtrip", "--max", "1000")
+        assert code == 1
+        assert f"counterexample: {expected}" in out
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "codec", "transcode")
@@ -322,9 +349,158 @@ class TestEsetCommands:
         assert out1 == out2
 
 
+DEEP = 1200
+DEEP_DATA = (
+    json.dumps({"a": [1] * DEEP, "x": [0] * DEEP, "g": [0] * DEEP})
+    + "\n"
+    + json.dumps({"a": [1] * DEEP, "x": [0] * (DEEP - 1) + [1], "g": [0] * DEEP})
+    + "\n"
+)
+
+
+class TestDeepCoinflip:
+    def test_depth_1200_exhausts_the_budget_without_a_traceback(
+        self, capsys, tmp_path
+    ):
+        # a recursive search overflows Python's recursion limit at this depth
+        data = tmp_path / "deep.jsonl"
+        data.write_text(DEEP_DATA)
+        code, out, err = run(
+            capsys,
+            "eset",
+            "coinflip",
+            str(data),
+            "--budget",
+            "100000",
+            "--output",
+            "json",
+        )
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["status"] == "budget-exceeded"
+        assert report["parameters"]["nodes_visited"] == 100001
+
+
+WITNESS_OK = "[1]"
+CYLINDER_OK = json.dumps({"depth": 1, "prefixes": [[0]]})
+
+
+def spec_with(**changes):
+    spec = {"prefix": [{"weights": {"-1": "1/2", "0": "1/2"}}], "tail": None}
+    spec.update(changes)
+    return json.dumps(spec)
+
+
+class TestStrictInput:
+    """Floats, booleans, strings and non-lists where integers or lists belong."""
+
+    @pytest.mark.parametrize(
+        "witness, cylinder",
+        [
+            (WITNESS_OK, json.dumps({"depth": 1, "prefixes": [[1.5], [True]]})),
+            (WITNESS_OK, json.dumps({"depth": 1.0, "prefixes": [[0]]})),
+            (WITNESS_OK, json.dumps({"depth": 1, "prefixes": 5})),
+            (WITNESS_OK, json.dumps({"depth": 1, "prefixes": [5]})),
+            ("[1.9, 2]", json.dumps({"depth": 2, "prefixes": [[0, 0]]})),
+            ("[true]", CYLINDER_OK),
+            (json.dumps({"witness": 7}), CYLINDER_OK),
+        ],
+        ids=[
+            "float-and-bool-prefix-entries",
+            "float-depth",
+            "prefixes-not-a-list",
+            "prefix-not-a-list",
+            "float-witness-entry",
+            "bool-witness-entry",
+            "witness-not-a-list",
+        ],
+    )
+    def test_check_prefix_rejects(self, capsys, tmp_path, witness, cylinder):
+        wit = tmp_path / "wit.json"
+        wit.write_text(witness)
+        cyl = tmp_path / "cyl.json"
+        cyl.write_text(cylinder)
+        code, out, err = run(capsys, "witness", "check-prefix", str(wit), str(cyl))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            spec_with(tail={"kind": "uniform", "k": 2.7}),
+            spec_with(tail={"kind": "uniform", "k": True}),
+            spec_with(tail={"kind": "point", "z": "7"}),
+            spec_with(tail={"kind": "point"}),
+            spec_with(prefix=[{"weights": {"1_0": "1"}}]),
+            spec_with(prefix=[{"weights": {" 01 ": "1"}}]),
+            spec_with(prefix=[{"weights": {"+1": "1"}}]),
+            spec_with(prefix=5),
+        ],
+        ids=[
+            "float-tail-size",
+            "bool-tail-size",
+            "string-tail-point",
+            "missing-tail-point",
+            "underscore-key",
+            "padded-key",
+            "plus-signed-key",
+            "prefix-not-a-list",
+        ],
+    )
+    def test_synth_rejects(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out, err = run(capsys, "witness", "synth", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestAcceptanceCommand:
-    def test_full_battery(self, capsys):
+    def test_full_battery(self, capsys, monkeypatch, battery):
+        def reuse_session_battery(seed, budget):
+            assert (seed, budget) == (42, DEFAULT_BUDGET)
+            return battery
+
+        monkeypatch.setattr(cli, "run_all", reuse_session_battery)
         code, out, _ = run(capsys, "eset", "acceptance", "--seed", "42")
         assert code == 0
         assert "9/9 criteria passed" in out
         assert out.count("[PASS]") == 9
+
+    def test_failing_criterion(self, capsys, monkeypatch):
+        results = [
+            CriterionResult("one", "first", True, "fine", 0.25),
+            CriterionResult("two", "second", False, "broken", 0.5),
+        ]
+        monkeypatch.setattr(cli, "run_all", lambda seed, budget: results)
+        code, out, _ = run(capsys, "eset", "acceptance", "--output", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "fail"
+        assert [c["status"] for c in data["criteria"]] == ["pass", "fail"]
+        code, out, _ = run(capsys, "eset", "acceptance")
+        assert code == 1
+        assert out.splitlines() == [
+            "[PASS] one: fine (0.25s)",
+            "[FAIL] two: broken (0.50s)",
+            "1/2 criteria passed in 0.75s",
+        ]
+
+
+def test_witness_demo_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "witness_demo.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "status: pass" in proc.stdout

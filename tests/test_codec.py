@@ -64,6 +64,7 @@ class TestEncode:
             ((1, "1", 0), "bit must be 0 or 1, got '1'"),
             ((1, 0, False), "offset must be an integer, got False"),
             ((1, 0, 1.5), "offset must be an integer, got 1.5"),
+            ((1, 1.0, 0), "bit must be 0 or 1, got 1.0"),
         ],
     )
     def test_rejection_messages(self, args, message):

@@ -17,7 +17,7 @@ from haarnull.eset import (
     graph_datum_to_dict,
     load_graph_data,
 )
-from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS
+from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
 
 
 @st.composite
@@ -237,6 +237,87 @@ class TestCoinflipBound:
             ]
 
 
+    def test_depth_1200_fails_without_recursion(self):
+        d = 1200
+        report = coinflip_bound(EncodedSet(d, ((0,) * d, (0,) * (d - 1) + (1,))))
+        assert report.status == FAIL
+        assert report.counterexample["r"] == (0,) * d
+        assert report.parameters["nodes_visited"] == d + 1
+
+    def test_depth_1200_graph_data_exhaust_the_budget(self):
+        # the two data differ only in the last bit, so the search doubles at
+        # every coordinate and cannot finish
+        d = 1200
+        es = build_encoded_set(
+            [
+                GraphDatum((1,) * d, (0,) * d, (0,) * d),
+                GraphDatum((1,) * d, (0,) * (d - 1) + (1,), (0,) * d),
+            ]
+        )
+        report = coinflip_bound(es, budget=10**4)
+        assert report.status == BUDGET_EXCEEDED
+        assert report.parameters["nodes_visited"] == 10**4 + 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(0, 6)] * d), min_size=0, max_size=6
+            ).map(lambda points: EncodedSet(d, tuple(points)))
+        ),
+        st.integers(1, 40),
+    )
+    def test_matches_the_recursive_search(self, es, budget):
+        assert coinflip_bound(es, budget=budget) == recursive_coinflip(es, budget)
+
+
+def recursive_coinflip(es, budget):
+    """The coin-flip search written as a recursion: the reference for the
+    explicit-stack version (same candidate order, budget unit and counts)."""
+    visited = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def scan(k, alive, r):
+        nonlocal visited
+        if k == es.depth:
+            return r, alive
+        for rk in sorted(
+            {v for i in alive for v in (-es.points[i][k], 1 - es.points[i][k])}
+        ):
+            visited += 1
+            if visited > budget:
+                raise Exhausted
+            survivors = tuple(i for i in alive if 0 <= es.points[i][k] + rk <= 1)
+            if len(survivors) >= 2:
+                found = scan(k + 1, survivors, r + (rk,))
+                if found is not None:
+                    return found
+        return None
+
+    status, found = PASS, None
+    if es.size >= 2:
+        try:
+            found = scan(0, tuple(range(es.size)), ())
+        except Exhausted:
+            status = BUDGET_EXCEEDED
+    parameters = {"points": es.size, "budget": budget, "nodes_visited": visited}
+    if found is None:
+        return VerificationReport("coinflip-bound", status, es.depth, parameters=parameters)
+    r, alive = found
+    hits = [es.points[i] for i in alive]
+    return VerificationReport(
+        "coinflip-bound",
+        FAIL,
+        es.depth,
+        lhs=len(hits),
+        rhs=1,
+        counterexample={"r": r, "hits": hits},
+        parameters=parameters,
+    )
+
+
 class TestSerializationHelpers:
     def test_graph_datum_roundtrip(self):
         gd = GraphDatum((2, 1), (1, 0), (2, 1))
@@ -264,6 +345,20 @@ class TestSerializationHelpers:
     def test_encoded_set_from_dict_shape_error(self):
         with pytest.raises(ValueError):
             encoded_set_from_dict({"depth": 1})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"depth": 1, "points": 5},
+            {"depth": 1, "points": [5]},
+            {"depth": 1, "points": [[0], "1"]},
+            {"depth": 1.0, "points": [[0]]},
+            {"depth": 1, "points": [[0.0]]},
+        ],
+    )
+    def test_encoded_set_from_dict_strict(self, bad):
+        with pytest.raises(ValueError):
+            encoded_set_from_dict(bad)
 
 
 class TestLoadGraphData:

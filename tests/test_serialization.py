@@ -75,6 +75,16 @@ class TestMeasureDicts:
         with pytest.raises(ValueError):
             measure_from_dict({"weights": {"0": "1/3"}})
 
+    @pytest.mark.parametrize("key", ["1_0", " 01 ", "+1", "-0", "01", "1.0", "x"])
+    def test_non_canonical_point_keys_rejected(self, key):
+        with pytest.raises(ValueError, match="canonical integer"):
+            measure_from_dict({"weights": {key: "1"}})
+
+    def test_canonical_negative_key_accepted(self):
+        assert measure_from_dict({"weights": {"-12": "1"}}) == FiniteMeasureZ(
+            {-12: Fraction(1)}
+        )
+
 
 class TestSpecDicts:
     @pytest.mark.parametrize(
@@ -83,6 +93,27 @@ class TestSpecDicts:
     def test_roundtrip(self, tail):
         spec = ProductMeasureSpec((uniform(1), uniform(2)), tail)
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            {"kind": "uniform", "k": 2.7},
+            {"kind": "uniform", "k": True},
+            {"kind": "uniform", "k": "2"},
+            {"kind": "point", "z": "7"},
+            {"kind": "point", "z": 7.0},
+            {"kind": "uniform"},
+            {"kind": ["point"]},
+        ],
+    )
+    def test_tail_fields_are_strict(self, tail):
+        with pytest.raises(ValueError):
+            spec_from_dict({"prefix": [], "tail": tail})
+
+    @pytest.mark.parametrize("prefix", [5, "abc", {"weights": {"0": "1"}}, [5]])
+    def test_prefix_must_be_a_list_of_measures(self, prefix):
+        with pytest.raises(ValueError):
+            spec_from_dict({"prefix": prefix, "tail": None})
 
     def test_unknown_tail_kind_rejected(self):
         bad = spec_to_dict(ProductMeasureSpec((uniform(1),), UniformTail(1)))
@@ -95,6 +126,22 @@ class TestCylinderDicts:
     def test_roundtrip(self):
         cyl = CylinderSet(2, ((0, -3), (5, 2)))
         assert cylinder_from_dict(cylinder_to_dict(cyl)) == cyl
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"depth": 1, "prefixes": [[1.5], [True]]},
+            {"depth": 1, "prefixes": [["1"]]},
+            {"depth": 1.0, "prefixes": [[0]]},
+            {"depth": True, "prefixes": [[0]]},
+            {"depth": 1, "prefixes": 5},
+            {"depth": 1, "prefixes": [5]},
+            {"depth": 1, "prefixes": "11"},
+        ],
+    )
+    def test_strict_rejection(self, bad):
+        with pytest.raises(ValueError):
+            cylinder_from_dict(bad)
 
     def test_dict_form(self):
         assert cylinder_to_dict(CylinderSet(1, ((4,),))) == {

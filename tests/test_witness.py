@@ -271,6 +271,11 @@ class TestIsWitnessPrefix:
         assert report.parameters["translates_required"] == 7
         assert report.parameters["budget"] == 2
 
+    @pytest.mark.parametrize("witness", [(1.9, 2), (True, 2), ("1", 2)])
+    def test_entries_must_be_integers(self, witness):
+        with pytest.raises(ValueError, match="witness entry must be an integer"):
+            is_witness_prefix(witness, CylinderSet(2, ((0, 0),)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             is_witness_prefix((0,), CylinderSet(1, ((0,),)))
