@@ -3,7 +3,7 @@
 
 Start from a two-coordinate product measure, synthesize its witness
 sequence, verify the four flattening identities on a sample cylinder set,
-scan witness translates of that set, and finish with the two encoded-set
+check the witness translates of that set, and finish with the two encoded-set
 checks on a tiny graph dataset.  Everything is exact, so the printed
 rationals are the true values.
 """
@@ -65,7 +65,7 @@ def main() -> None:
     print("verifying the flattening identities on", X.prefixes)
     show_report(verify_restrict_normalize(shifted, trace, X))
 
-    print("scanning witness translates of the same set")
+    print("checking witness translates of the same set")
     show_report(is_witness_prefix(trace.witness, X))
 
     data = [

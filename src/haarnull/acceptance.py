@@ -472,7 +472,7 @@ def _witness_prefix_oracle(
 def criterion_witness_prefix_oracle(
     seed: int, instances: int = 50, budget: int = DEFAULT_BUDGET
 ) -> CriterionResult:
-    """The translate scan agrees with a naive oracle, counterexamples included."""
+    """`is_witness_prefix` agrees with a naive scan, counterexamples included."""
     started = time.perf_counter()
     failures: list = []
     rng = Random(seed)

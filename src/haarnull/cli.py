@@ -188,7 +188,11 @@ def cmd_witness_check_prefix(args) -> int:
 
 def _load_encoded_set(args):
     if args.encoded:
-        return encoded_set_from_dict(_read_json(args.data))
+        try:
+            raw = _read_json(args.data)
+        except json.JSONDecodeError as exc:
+            raise GraphDataParseError(f"invalid JSON: {exc}") from exc
+        return encoded_set_from_dict(raw)
     pairs = load_graph_data(_read_text(args.data).splitlines())
     if not pairs:
         raise ValueError("dataset is empty")
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = witness_sub.add_parser(
         "check-prefix",
         parents=[output],
-        help="scan all translates of a cylinder set for null mass",
+        help="check that every translate of a cylinder set is null",
     )
     p.add_argument("witness", help="witness entries JSON file, - for stdin")
     p.add_argument("cylinder", help="cylinder set JSON file, - for stdin")

@@ -47,12 +47,13 @@ __all__ = [
 
 
 class GraphDataParseError(ValueError):
-    """A dataset line that is not even shaped like a graph datum.
+    """Input that is not even shaped like a graph datum or an encoded set.
 
-    Raised for JSON syntax errors and wrong-shape objects.  Violations of
-    value-level constraints (offsets out of domain, repeated arguments,
-    mixed depths) stay plain `ValueError`s so callers can tell ill-formed
-    files apart from well-formed files with bad data.
+    Raised for JSON syntax errors, wrong-shape objects and entries that are
+    not JSON integers.  Violations of value-level constraints (offsets out
+    of domain, repeated arguments, mixed depths) stay plain `ValueError`s
+    so callers can tell ill-formed files apart from well-formed files with
+    bad data.
     """
 
 
@@ -333,6 +334,11 @@ def graph_datum_from_dict(d: dict) -> GraphDatum:
         value = d[key]
         if not isinstance(value, list):
             raise GraphDataParseError(f'field "{key}" must be a list, got {value!r}')
+        for v in value:
+            if type(v) is not int:  # JSON integers only; bool is a subclass
+                raise GraphDataParseError(
+                    f'field "{key}" entries must be integers, got {v!r}'
+                )
         fields.append(tuple(value))
     return GraphDatum(*fields)
 
@@ -346,9 +352,19 @@ def encoded_set_to_dict(es: EncodedSet) -> dict:
 
 
 def encoded_set_from_dict(d: dict) -> EncodedSet:
+    """Parse an encoded set; shape errors raise `GraphDataParseError`."""
     if not isinstance(d, dict) or set(d) != {"depth", "points"}:
-        raise ValueError('expected an object with fields "depth" and "points"')
+        raise GraphDataParseError(
+            'expected an object with fields "depth" and "points"'
+        )
+    depth = d["depth"]
+    if type(depth) is not int:
+        raise GraphDataParseError(f'field "depth" must be an integer, got {depth!r}')
     points = d["points"]
     if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
-        raise ValueError('field "points" must be a list of point lists')
-    return EncodedSet(d["depth"], tuple(tuple(p) for p in points))
+        raise GraphDataParseError('field "points" must be a list of point lists')
+    for p in points:
+        for v in p:
+            if type(v) is not int:
+                raise GraphDataParseError(f"codes must be integers, got {v!r}")
+    return EncodedSet(depth, tuple(tuple(p) for p in points))

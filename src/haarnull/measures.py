@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iter_product
+from math import lcm
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -54,6 +55,18 @@ def _check_int(value, what: str) -> int:
     return value
 
 
+def _common_denominator(masses) -> int:
+    """Least common multiple of the denominators of the given Fractions.
+
+    Scaling each mass m by D gives the integer m.numerator * (D // m.denominator),
+    so sums of masses become integer sums with one division at the end.
+    """
+    D = 1
+    for m in masses:
+        D = lcm(D, m.denominator)
+    return D
+
+
 @dataclass(frozen=True)
 class FiniteMeasureZ:
     """A probability measure on Z with finite support.
@@ -76,9 +89,14 @@ class FiniteMeasureZ:
                 clean[point] = mass
         if not clean:
             raise ValueError("a probability measure needs nonempty support")
-        total = sum(clean.values())
-        if total != 1:
-            raise ValueError(f"total mass is {total}, expected exactly 1")
+        D = _common_denominator(clean.values())
+        num = 0
+        for m in clean.values():
+            num += m.numerator * (D // m.denominator)
+        if num != D:
+            raise ValueError(
+                f"total mass is {Fraction(num, D)}, expected exactly 1"
+            )
         object.__setattr__(self, "weights", clean)
 
     def __hash__(self):
@@ -101,9 +119,12 @@ class FiniteMeasureZ:
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         """Total mass of the integer interval [lo, hi]."""
-        return sum(
-            (m for z, m in self.weights.items() if lo <= z <= hi), Fraction(0)
-        )
+        inside = [m for z, m in self.weights.items() if lo <= z <= hi]
+        D = _common_denominator(inside)
+        num = 0
+        for m in inside:
+            num += m.numerator * (D // m.denominator)
+        return Fraction(num, D)
 
 
 def uniform(k: int) -> FiniteMeasureZ:
@@ -124,13 +145,20 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
 
     result(z) = sum over x + y = z of p(x) * q(y); the support is the
     Minkowski sum of the two supports and the total mass stays exactly 1.
+    Both operands are scaled to integer weights over their common
+    denominators Dp and Dq, so each output mass is one Fraction(c, Dp * Dq).
     """
-    out: dict[int, Fraction] = {}
-    for x, px in p.weights.items():
-        for y, qy in q.weights.items():
+    Dp = _common_denominator(p.weights.values())
+    Dq = _common_denominator(q.weights.values())
+    qs = [(y, m.numerator * (Dq // m.denominator)) for y, m in q.weights.items()]
+    out: dict[int, int] = {}
+    for x, m in p.weights.items():
+        a = m.numerator * (Dp // m.denominator)
+        for y, b in qs:
             z = x + y
-            out[z] = out.get(z, Fraction(0)) + px * qy
-    return FiniteMeasureZ(out)
+            out[z] = out.get(z, 0) + a * b
+    D = Dp * Dq
+    return FiniteMeasureZ({z: Fraction(c, D) for z, c in out.items()})
 
 
 def translate_measure(p: FiniteMeasureZ, shift: int) -> FiniteMeasureZ:

@@ -14,8 +14,8 @@ PASS = "pass"
 FAIL = "fail"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-# Default cap on the work units of a budgeted search: translates for the
-# witness-prefix scan, search-tree nodes for the coin-flip scan.
+# Default cap on the work units of a budgeted check: translates in the
+# witness-prefix window, search-tree nodes for the coin-flip scan.
 DEFAULT_BUDGET = 10**7
 
 

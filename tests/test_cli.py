@@ -457,6 +457,64 @@ class TestStrictInput:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["gap", "coinflip", "build"])
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            "{nope",
+            "[1, 2]",
+            json.dumps({"depth": 1}),
+            json.dumps({"depth": 1.0, "points": [[0]]}),
+            json.dumps({"depth": 1, "points": [[1.5]]}),
+            json.dumps({"depth": 1, "points": [[True]]}),
+            json.dumps({"depth": 1, "points": [0]}),
+        ],
+        ids=[
+            "syntax-error",
+            "not-an-object",
+            "missing-points",
+            "float-depth",
+            "float-code",
+            "bool-code",
+            "point-not-a-list",
+        ],
+    )
+    def test_encoded_set_rejects(self, capsys, tmp_path, command, encoded):
+        path = tmp_path / "set.json"
+        path.write_text(encoded)
+        code, out, err = run(capsys, "eset", command, str(path), "--encoded")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["gap", "coinflip", "build"])
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            {"a": [1.5], "x": [0], "g": [0]},
+            {"a": [1], "x": [1.0], "g": [0]},
+            {"a": [1], "x": [True], "g": [0]},
+            {"a": [1], "x": [0], "g": ["0"]},
+        ],
+        ids=["float-size", "float-bit", "bool-bit", "string-offset"],
+    )
+    def test_graph_data_rejects(self, capsys, tmp_path, command, datum):
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_DATA + json.dumps(datum) + "\n")
+        code, out, err = run(capsys, "eset", command, str(data))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "line 3:" in err
+
+    def test_encoded_set_bad_values_stay_dataset_errors(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"depth": 1, "points": [[-1]]}))
+        code, out, err = run(capsys, "eset", "gap", str(path), "--encoded")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dataset error:")
+
 
 class TestAcceptanceCommand:
     def test_full_battery(self, capsys, monkeypatch, battery):
@@ -488,6 +546,19 @@ class TestAcceptanceCommand:
             "[FAIL] two: broken (0.50s)",
             "1/2 criteria passed in 0.75s",
         ]
+
+
+def test_bench_selftest_runs():
+    # every output check of the benchmark must reject its corrupted outputs
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 failures"
 
 
 def test_witness_demo_script_runs():

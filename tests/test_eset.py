@@ -333,6 +333,14 @@ class TestSerializationHelpers:
         with pytest.raises(GraphDataParseError):
             graph_datum_from_dict({"a": 1, "x": [0], "g": [0]})
 
+    @pytest.mark.parametrize("key", ["a", "x", "g"])
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "0", None])
+    def test_from_dict_non_integer_entries(self, key, entry):
+        raw = {"a": [1, 1], "x": [0, 0], "g": [0, 0]}
+        raw[key] = raw[key][:1] + [entry]
+        with pytest.raises(GraphDataParseError, match=f'field "{key}"'):
+            graph_datum_from_dict(raw)
+
     def test_from_dict_value_errors_are_plain(self):
         with pytest.raises(ValueError) as info:
             graph_datum_from_dict({"a": [1], "x": [0], "g": [5]})
@@ -343,8 +351,10 @@ class TestSerializationHelpers:
         assert encoded_set_from_dict(encoded_set_to_dict(es)) == es
 
     def test_encoded_set_from_dict_shape_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphDataParseError):
             encoded_set_from_dict({"depth": 1})
+        with pytest.raises(GraphDataParseError):
+            encoded_set_from_dict([1, 2])
 
     @pytest.mark.parametrize(
         "bad",
@@ -354,11 +364,19 @@ class TestSerializationHelpers:
             {"depth": 1, "points": [[0], "1"]},
             {"depth": 1.0, "points": [[0]]},
             {"depth": 1, "points": [[0.0]]},
+            {"depth": True, "points": [[0]]},
+            {"depth": 1, "points": [[False]]},
         ],
     )
     def test_encoded_set_from_dict_strict(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphDataParseError):
             encoded_set_from_dict(bad)
+
+    def test_encoded_set_from_dict_value_errors_are_plain(self):
+        for bad in ({"depth": 1, "points": [[-1]]}, {"depth": 2, "points": [[0]]}):
+            with pytest.raises(ValueError) as info:
+                encoded_set_from_dict(bad)
+            assert not isinstance(info.value, GraphDataParseError)
 
 
 class TestLoadGraphData:

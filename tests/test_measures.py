@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull.acceptance import convolve_oracle
 from haarnull.measures import (
     CylinderSet,
     FiniteMeasureZ,
@@ -39,6 +40,20 @@ def finite_measures(draw, lo=-6, hi=6, max_points=5):
     return FiniteMeasureZ(
         {z: Fraction(w, total) for z, w in zip(support, weights)}
     )
+
+
+@st.composite
+def mixed_measures(draw, lo=-6, hi=6, max_points=5):
+    """Measures whose masses have unequal denominators (1/2, 1/3, 1/7, ...)."""
+    support = draw(
+        st.lists(st.integers(lo, hi), min_size=1, max_size=max_points, unique=True)
+    )
+    parts = [
+        Fraction(draw(st.integers(1, 6)), draw(st.sampled_from((1, 2, 3, 5, 7))))
+        for _ in support
+    ]
+    total = sum(parts)
+    return FiniteMeasureZ({z: w / total for z, w in zip(support, parts)})
 
 
 @st.composite
@@ -90,6 +105,20 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError):
             FiniteMeasureZ({0: Fraction(1, 2)})
 
+    @pytest.mark.parametrize(
+        "weights, total",
+        [
+            ({0: Fraction(1, 2), 1: Fraction(1, 3)}, "5/6"),
+            ({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 7)}, "41/42"),
+            ({0: Fraction(1), 1: Fraction(1)}, "2"),
+            ({-3: Fraction(2, 3), 4: Fraction(2, 3)}, "4/3"),
+        ],
+    )
+    def test_total_mass_message(self, weights, total):
+        with pytest.raises(ValueError) as info:
+            FiniteMeasureZ(weights)
+        assert str(info.value) == f"total mass is {total}, expected exactly 1"
+
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             FiniteMeasureZ({})
@@ -111,6 +140,20 @@ class TestFiniteMeasure:
         assert m.interval_mass(1, 2) == Fraction(1, 2)
         assert m.interval_mass(4, 9) == 0
         assert m.interval_mass(-5, 5) == 1
+
+    @pytest.mark.parametrize("lo, hi", [(4, 9), (2, 1), (-9, -1)])
+    def test_interval_mass_of_an_empty_interval(self, lo, hi):
+        got = uniform(3).interval_mass(lo, hi)
+        assert type(got) is Fraction
+        assert got == Fraction(0)
+
+    @given(mixed_measures(), st.integers(-7, 7), st.integers(-7, 7))
+    def test_interval_mass_matches_fraction_sum(self, m, lo, hi):
+        want = Fraction(0)
+        for z, w in m.weights.items():
+            if lo <= z <= hi:
+                want += w
+        assert m.interval_mass(lo, hi) == want
 
     @given(finite_measures())
     def test_hashable_and_equal_by_weights(self, m):
@@ -134,6 +177,30 @@ class TestConvolve:
         assert sum(r.weights.values()) == 1
         assert r.min_support == p.min_support + q.min_support
         assert r.max_support == p.max_support + q.max_support
+
+    def test_mixed_denominators_pinned(self):
+        p = FiniteMeasureZ({-1: Fraction(1, 2), 0: Fraction(1, 3), 2: Fraction(1, 6)})
+        q = FiniteMeasureZ({-3: Fraction(1, 7), 5: Fraction(6, 7)})
+        got = convolve(p, q)
+        assert got == convolve_oracle(p, q)
+        assert got.weights == {
+            -4: Fraction(1, 14),
+            -3: Fraction(1, 21),
+            -1: Fraction(1, 42),
+            4: Fraction(3, 7),
+            5: Fraction(2, 7),
+            7: Fraction(1, 7),
+        }
+
+    @given(
+        st.one_of(mixed_measures(), st.integers(-6, 6).map(dirac)),
+        st.one_of(mixed_measures(), st.integers(-6, 6).map(dirac)),
+    )
+    def test_matches_the_outcome_pair_oracle(self, p, q):
+        got = convolve(p, q)
+        want = convolve_oracle(p, q)
+        assert got == want
+        assert all(type(m) is Fraction for m in got.weights.values())
 
     @given(finite_measures(), finite_measures())
     def test_commutative(self, p, q):

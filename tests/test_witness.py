@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull.acceptance import _witness_prefix_oracle
 from haarnull.measures import (
     CylinderSet,
     FiniteMeasureZ,
@@ -13,10 +14,18 @@ from haarnull.measures import (
     ProductMeasureSpec,
     UniformTail,
     UnsupportedDepthError,
+    lattice_points,
     measure_of,
+    translate_set,
     uniform_product_spec,
 )
-from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS
+from haarnull.report import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FAIL,
+    PASS,
+    VerificationReport,
+)
 from haarnull.witness import (
     DEFICIENCY_LOWER_BOUND,
     SynthesisTrace,
@@ -243,6 +252,81 @@ class TestVerifyRestrictNormalize:
             verify_restrict_normalize(mu, trace, CylinderSet(2, ((0, 0),)))
 
 
+def scan_is_witness_prefix(witness, cyl, budget=DEFAULT_BUDGET):
+    """Reference: the translate scan `is_witness_prefix` made before its
+    closed form.  It measures every translate of the exhaustive window in
+    lex order and reports the first one of positive mass."""
+    wit = tuple(witness)
+    d = len(wit)
+    if cyl.is_empty:
+        return VerificationReport(
+            claim="witness-prefix",
+            status=PASS,
+            depth=d,
+            parameters={"translates_checked": 0, "budget": budget},
+        )
+    windows = tuple(
+        (
+            -max(s[n] for s in cyl.prefixes),
+            wit[n] - min(s[n] for s in cyl.prefixes),
+        )
+        for n in range(d)
+    )
+    total = 1
+    for lo, hi in windows:
+        total *= hi - lo + 1
+    if total > budget:
+        return VerificationReport(
+            claim="witness-prefix",
+            status=BUDGET_EXCEEDED,
+            depth=d,
+            parameters={
+                "window": windows,
+                "translates_required": total,
+                "budget": budget,
+            },
+        )
+    spec = uniform_product_spec(wit)
+    for x in lattice_points(windows):
+        value = measure_of(spec, translate_set(cyl, x))
+        if value != 0:
+            return VerificationReport(
+                claim="witness-prefix",
+                status=FAIL,
+                depth=d,
+                lhs=value,
+                rhs=Fraction(0),
+                counterexample={"x": x, "measure": value},
+                parameters={"window": windows, "budget": budget},
+            )
+    return VerificationReport(
+        claim="witness-prefix",
+        status=PASS,
+        depth=d,
+        parameters={
+            "window": windows,
+            "translates_checked": total,
+            "budget": budget,
+        },
+    )
+
+
+@st.composite
+def prefix_instances(draw):
+    """(witness, cylinder set, budget) with prefixes on and around the box
+    [0, w]: the edge values -w, 0, w and 2w are drawn often, and budgets
+    range from 1 (almost always exceeded) to past every window volume."""
+    d = draw(st.integers(0, 4))
+    wit = tuple(draw(st.integers(1, 3)) for _ in range(d))
+    entry = [
+        st.one_of(st.sampled_from((-w, 0, w, 2 * w)), st.integers(-w - 1, 2 * w + 1))
+        for w in wit
+    ]
+    prefixes = draw(st.lists(st.tuples(*entry), min_size=0, max_size=6))
+    budget = draw(st.sampled_from((1, 4, 30, 500, DEFAULT_BUDGET)))
+    return wit, CylinderSet(d, tuple(prefixes)), budget
+
+
 class TestIsWitnessPrefix:
     def test_two_prefix_example(self):
         cyl = CylinderSet(2, ((0, 0), (1, 2)))
@@ -302,3 +386,30 @@ class TestIsWitnessPrefix:
             spec, cyl.translate(x)
         )
         assert report.counterexample["measure"] > 0
+
+    def test_whole_space_fails_with_mass_one(self):
+        report = is_witness_prefix((), CylinderSet.whole_space())
+        assert report.status == FAIL
+        assert report.counterexample == {"x": (), "measure": Fraction(1)}
+        assert report.to_json() == scan_is_witness_prefix(
+            (), CylinderSet.whole_space()
+        ).to_json()
+
+    @settings(deadline=None, max_examples=300)
+    @given(prefix_instances())
+    def test_closed_form_matches_the_scan_byte_for_byte(self, instance):
+        wit, cyl, budget = instance
+        got = is_witness_prefix(wit, cyl, budget=budget)
+        assert got.to_json() == scan_is_witness_prefix(wit, cyl, budget).to_json()
+
+    @settings(deadline=None, max_examples=300)
+    @given(prefix_instances())
+    def test_closed_form_matches_the_battery_oracle(self, instance):
+        wit, cyl, _ = instance
+        report = is_witness_prefix(wit, cyl)
+        want = _witness_prefix_oracle(wit, cyl)
+        if want is None:
+            assert report.status == PASS
+        else:
+            assert report.status == FAIL
+            assert report.counterexample == {"x": want[0], "measure": want[1]}
