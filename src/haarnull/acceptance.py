@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from .codec import decode, encode, separation_gap
 from .eset import (
+    EncodedSet,
     GraphDatum,
     build_encoded_set,
     check_pairwise_gap,
@@ -401,10 +402,92 @@ def random_graph_dataset(
     return data
 
 
+def _coinflip_search_oracle(
+    es: EncodedSet, budget: int = DEFAULT_BUDGET
+) -> VerificationReport:
+    """Search translates r coordinate by coordinate for two hits in {0, 1}^d.
+
+    Keeps only the points still landing in {0, 1} on every chosen
+    coordinate and prunes once fewer than two survive.  Candidate values at
+    coordinate k are the finitely many r(k) that keep some survivor in
+    {0, 1}, visited in increasing order, so a reported counterexample is the
+    lexicographically least translate with two or more hits.  Each
+    candidate visit costs one unit of budget; exhaustion yields a
+    budget-exceeded report.  The search keeps its own stack, so its depth
+    is not bounded by Python's recursion limit.  It is the independent
+    check of the closed-form `coinflip_bound`.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    d = es.depth
+    points = es.points
+
+    def candidates(k: int, alive: tuple[int, ...]):
+        return iter(
+            sorted({v for i in alive for v in (-points[i][k], 1 - points[i][k])})
+        )
+
+    # One frame per coordinate being searched: (k, alive, r, candidates left).
+    everyone = tuple(range(es.size))
+    stack = [(0, everyone, (), candidates(0, everyone))] if es.size >= 2 else []
+    visited = 0
+    status = PASS
+    found = None
+    while stack:
+        k, alive, r, todo = stack[-1]
+        rk = next(todo, None)
+        if rk is None:
+            stack.pop()
+            continue
+        visited += 1
+        if visited > budget:
+            status = BUDGET_EXCEEDED
+            break
+        survivors = tuple(i for i in alive if 0 <= points[i][k] + rk <= 1)
+        if len(survivors) < 2:
+            continue
+        if k + 1 == d:
+            found = (r + (rk,), survivors)
+            break
+        stack.append((k + 1, survivors, r + (rk,), candidates(k + 1, survivors)))
+    parameters = {"points": es.size, "budget": budget, "nodes_visited": visited}
+    if found is None:
+        return VerificationReport(
+            claim="coinflip-bound", status=status, depth=d, parameters=parameters
+        )
+    r, alive = found
+    hits = [points[i] for i in alive]
+    return VerificationReport(
+        claim="coinflip-bound",
+        status=FAIL,
+        depth=d,
+        lhs=len(hits),
+        rhs=1,
+        counterexample={"r": r, "hits": hits},
+        parameters=parameters,
+    )
+
+
+def _coinflip_mismatch(
+    flip: VerificationReport, search: VerificationReport
+) -> Optional[str]:
+    """How a `coinflip_bound` report differs from the search oracle's, or None."""
+    if (flip.status, flip.counterexample) == (search.status, search.counterexample):
+        return None
+    return (
+        f"coin-flip bound gives {flip.status} {flip.counterexample}, "
+        f"search oracle {search.status} {search.counterexample}"
+    )
+
+
 def criterion_encoded_set_checks(
     seed: int, datasets: int = 100, budget: int = DEFAULT_BUDGET
 ) -> CriterionResult:
-    """Both checkers pass random valid datasets and fail a boundary control."""
+    """Both checkers pass random valid datasets and fail a boundary control.
+
+    The closed-form coin-flip bound must also agree with the translate
+    search oracle, on status, lex-least translate and hits.
+    """
     started = time.perf_counter()
     failures: list = []
     rng = Random(seed)
@@ -424,14 +507,22 @@ def criterion_encoded_set_checks(
                 f"({gap.status} vs {flip.status}): {flip.counterexample}"
             )
             break
+        mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(es, budget))
+        if mismatch:
+            failures.append(f"dataset {i}: {mismatch}")
+            break
     control = build_encoded_set(
         [GraphDatum((1,), (0,), (2,)), GraphDatum((1,), (1,), (0,))],
         allow_boundary=True,
     )
     if check_pairwise_gap(control).status != FAIL:
         failures.append("boundary control passes the gap check")
-    if coinflip_bound(control, budget=budget).status != FAIL:
+    flip = coinflip_bound(control, budget=budget)
+    if flip.status != FAIL:
         failures.append("boundary control passes the coin-flip bound")
+    mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(control, budget))
+    if mismatch:
+        failures.append(f"boundary control: {mismatch}")
     return _result(
         "encoded-set-checks",
         "gap and coin-flip checkers on random data plus a negative control",
@@ -483,7 +574,7 @@ def criterion_witness_prefix_oracle(
         expected = _witness_prefix_oracle(wit, X)
         if expected is None:
             if report.status != PASS:
-                failures.append(f"instance {i}: oracle passes, scan does not")
+                failures.append(f"instance {i}: oracle passes, closed form does not")
                 break
         else:
             x, mass = expected
@@ -493,7 +584,7 @@ def criterion_witness_prefix_oracle(
             }:
                 failures.append(
                     f"instance {i}: oracle finds {x} with mass {mass}, "
-                    f"scan reports {report.counterexample}"
+                    f"closed form reports {report.counterexample}"
                 )
                 break
     empty = is_witness_prefix((1, 1, 1), CylinderSet.empty(3), budget=budget)

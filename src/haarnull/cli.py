@@ -9,7 +9,7 @@ Three command families mirror the library layout:
 Every leaf command takes --output {text,json}.  JSON output is purely a
 function of the arguments, the seed, and the input files (no timestamps,
 keys sorted), so reruns are byte-identical.  Exit codes: 0 for a passing
-run, 1 for a verified failure, a budget-exceeded scan, or a dataset
+run, 1 for a verified failure, a budget-exceeded check, or a dataset
 invariant violation (offending line numbers are reported), 2 for usage,
 syntax, or shape errors.
 """
@@ -367,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         "coinflip", parents=[output], help="check the translate hit bound"
     )
     add_data_args(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="most point pairs to compare before reporting budget-exceeded "
+        "(default: %(default)s)",
+    )
     p.set_defaults(handler=cmd_eset_coinflip)
     p = eset_sub.add_parser(
         "acceptance", parents=[output], help="run the full acceptance battery"

@@ -10,9 +10,13 @@ here, exactly and deterministically:
 
 The gap property is what makes the coin-flip bound work, and the bound is
 what makes translates of the encoded set small under every product of
-fair coin measures.  Both checkers return `VerificationReport` values; the
-coin-flip search carries a node budget and reports exhaustion instead of
-running away.
+fair coin measures.  Both come down to one question, whether some pair of
+points is within 1 in every coordinate, so both checkers run on one sweep
+over the sorted points that compares only pairs whose first coordinates
+differ by at most 1.  The coin-flip bound is then closed form: its
+lex-least counterexample is read off the close pairs.  Both checkers
+return `VerificationReport` values; the coin-flip check carries a budget
+on the pairs compared and reports exhaustion instead of running away.
 """
 
 from __future__ import annotations
@@ -179,6 +183,34 @@ def build_encoded_set(
     return EncodedSet(depth, tuple(gd.encoded() for gd in data))
 
 
+def _close_pairs(
+    points: Sequence[tuple[int, ...]], budget: Optional[int] = None
+) -> tuple[Optional[list[tuple[int, int]]], int]:
+    """The pairs (i, j), i < j, of sorted points within 1 in every coordinate.
+
+    Sorted points have nondecreasing first coordinates, so for each i only
+    the j with points[j][0] <= points[i][0] + 1 are compared.  Returns the
+    close pairs in (i, j) order and the number of pairs compared; once more
+    than `budget` pairs have been compared it stops and returns None in
+    place of the pairs.
+    """
+    close = []
+    compared = 0
+    for i in range(len(points) - 1):
+        p = points[i]
+        top = p[0] + 1
+        for j in range(i + 1, len(points)):
+            q = points[j]
+            if q[0] > top:
+                break
+            compared += 1
+            if budget is not None and compared > budget:
+                return None, compared
+            if all(-1 <= pv - qv <= 1 for pv, qv in zip(p, q)):
+                close.append((i, j))
+    return close, compared
+
+
 def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
     """Check that every pair of points is 2-separated in some coordinate.
 
@@ -187,33 +219,29 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
     coordinate, deeper coordinates of the underlying sequences could still
     separate it, so the pair is reported as undecidable rather than failed;
     if the arguments differ somewhere, the separation was supposed to
-    appear at such a coordinate, and the pair is a counterexample.
+    appear at such a coordinate, and the pair is a counterexample.  Only
+    the close pairs are decoded; every other pair counts as decided.
     """
-    decoded = es.decoded()
+    close, _ = _close_pairs(es.points)
     undecidable = []
-    decided = 0
     failure = None
-    for i in range(es.size):
-        for j in range(i + 1, es.size):
-            p, q = es.points[i], es.points[j]
-            if any(abs(pv - qv) >= 2 for pv, qv in zip(p, q)):
-                decided += 1
-                continue
-            dp, dq = decoded[i], decoded[j]
-            same_arg = dp.a == dq.a and dp.x == dq.x
-            if same_arg:
-                undecidable.append({"points": [p, q]})
-            elif failure is None:
-                failure = {
-                    "points": [p, q],
-                    "arguments": [
-                        {"a": dp.a, "x": dp.x},
-                        {"a": dq.a, "x": dq.x},
-                    ],
-                    "max_coordinate_gap": max(
-                        (abs(pv - qv) for pv, qv in zip(p, q)), default=0
-                    ),
-                }
+    for i, j in close:
+        p, q = es.points[i], es.points[j]
+        dp, dq = decode_point(p), decode_point(q)
+        same_arg = dp.a == dq.a and dp.x == dq.x
+        if same_arg:
+            undecidable.append({"points": [p, q]})
+        elif failure is None:
+            failure = {
+                "points": [p, q],
+                "arguments": [
+                    {"a": dp.a, "x": dp.x},
+                    {"a": dq.a, "x": dq.x},
+                ],
+                "max_coordinate_gap": max(
+                    (abs(pv - qv) for pv, qv in zip(p, q)), default=0
+                ),
+            }
     return VerificationReport(
         claim="pairwise-gap",
         status=FAIL if failure else PASS,
@@ -223,7 +251,7 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
         counterexample=failure,
         parameters={
             "points": es.size,
-            "decided_pairs": decided,
+            "decided_pairs": es.size * (es.size - 1) // 2 - len(close),
             "undecidable_pairs": undecidable,
         },
     )
@@ -232,60 +260,37 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
 def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Check that no translate of the point set hits {0, 1}^d twice.
 
-    Searches translates r coordinate by coordinate, keeping only the points
-    still landing in {0, 1} on every chosen coordinate and pruning once
-    fewer than two survive.  Candidate values at coordinate k are the
-    finitely many r(k) that keep some survivor in {0, 1}, visited in
-    increasing order, so a reported counterexample is the lexicographically
-    least translate with two or more hits.  Each candidate visit costs one
-    unit of budget; exhaustion yields a budget-exceeded report.  The search
-    keeps its own stack, so its depth is not bounded by Python's recursion
-    limit.
+    A translate r puts both p and q in {0, 1}^d exactly when
+    -min(p_k, q_k) <= r_k <= 1 - max(p_k, q_k) at every coordinate k, a box
+    that is nonempty exactly when the pair is close (within 1 everywhere).
+    So the bound fails exactly when some pair is close, and the
+    lexicographically least translate with two or more hits is the least
+    lower corner tuple(-min(p_k, q_k)) over the close pairs; its hits are
+    the points it maps into the cube.  `budget` caps the pairs compared,
+    reported as `nodes_visited`; past it the result is budget-exceeded.
+    The translate search this replaces is kept as the independent oracle
+    `acceptance._coinflip_search_oracle`.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    d = es.depth
     points = es.points
-
-    def candidates(k: int, alive: tuple[int, ...]):
-        return iter(
-            sorted({v for i in alive for v in (-points[i][k], 1 - points[i][k])})
-        )
-
-    # One frame per coordinate being searched: (k, alive, r, candidates left).
-    everyone = tuple(range(es.size))
-    stack = [(0, everyone, (), candidates(0, everyone))] if es.size >= 2 else []
-    visited = 0
-    status = PASS
-    found = None
-    while stack:
-        k, alive, r, todo = stack[-1]
-        rk = next(todo, None)
-        if rk is None:
-            stack.pop()
-            continue
-        visited += 1
-        if visited > budget:
-            status = BUDGET_EXCEEDED
-            break
-        survivors = tuple(i for i in alive if 0 <= points[i][k] + rk <= 1)
-        if len(survivors) < 2:
-            continue
-        if k + 1 == d:
-            found = (r + (rk,), survivors)
-            break
-        stack.append((k + 1, survivors, r + (rk,), candidates(k + 1, survivors)))
-    parameters = {"points": es.size, "budget": budget, "nodes_visited": visited}
-    if found is None:
+    close, compared = _close_pairs(points, budget)
+    parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}
+    if not close:  # no close pair, or None: the budget ran out first
         return VerificationReport(
-            claim="coinflip-bound", status=status, depth=d, parameters=parameters
+            claim="coinflip-bound",
+            status=BUDGET_EXCEEDED if close is None else PASS,
+            depth=es.depth,
+            parameters=parameters,
         )
-    r, alive = found
-    hits = [points[i] for i in alive]
+    r = min(
+        tuple(-min(pv, qv) for pv, qv in zip(points[i], points[j])) for i, j in close
+    )
+    hits = [p for p in points if all(0 <= pv + rk <= 1 for pv, rk in zip(p, r))]
     return VerificationReport(
         claim="coinflip-bound",
         status=FAIL,
-        depth=d,
+        depth=es.depth,
         lhs=len(hits),
         rhs=1,
         counterexample={"r": r, "hits": hits},

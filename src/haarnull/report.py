@@ -15,7 +15,7 @@ FAIL = "fail"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 # Default cap on the work units of a budgeted check: translates in the
-# witness-prefix window, search-tree nodes for the coin-flip scan.
+# witness-prefix window, pairs compared for the coin-flip bound.
 DEFAULT_BUDGET = 10**7
 
 

@@ -79,7 +79,9 @@ class SynthesisTrace:
 
     The deficiency partials are nonincreasing and stay above
     DEFICIENCY_LOWER_BOUND; construction re-derives both partial-product
-    columns and rejects inconsistent data.
+    columns and rejects inconsistent data.  The per-coordinate columns take
+    integers only, and the partial-product columns integers or Fractions;
+    nothing is rounded or parsed.
     """
 
     shifts: tuple[int, ...]
@@ -90,19 +92,19 @@ class SynthesisTrace:
     deficiency_partial: tuple[Fraction, ...]
 
     def __post_init__(self):
-        shifts = tuple(int(v) for v in self.shifts)
-        radii = tuple(int(v) for v in self.radii)
-        sizes = tuple(int(v) for v in self.sizes)
-        witness = tuple(int(v) for v in self.witness)
-        scale = tuple(Fraction(v) for v in self.scale_partial)
-        defic = tuple(Fraction(v) for v in self.deficiency_partial)
+        shifts = tuple(_check_int(v, "shift") for v in self.shifts)
+        radii = tuple(_check_int(v, "radius") for v in self.radii)
+        sizes = tuple(_check_int(v, "size") for v in self.sizes)
+        witness = tuple(_check_int(v, "witness entry") for v in self.witness)
+        scale = tuple(_check_rational(v, "scale partial") for v in self.scale_partial)
+        defic = tuple(
+            _check_rational(v, "deficiency partial") for v in self.deficiency_partial
+        )
         d = len(shifts)
         if not (len(radii) == len(sizes) == len(witness) == d):
             raise ValueError("per-coordinate columns have unequal lengths")
         if not (len(scale) == len(defic) == d):
             raise ValueError("partial-product columns have unequal lengths")
-        running_scale = Fraction(1)
-        running_defic = Fraction(1)
         for n in range(d):
             if radii[n] < 0:
                 raise ValueError(f"radius {radii[n]} at coordinate {n} is negative")
@@ -115,11 +117,11 @@ class SynthesisTrace:
                     f"witness entry {witness[n]} at coordinate {n} "
                     f"is not size - radius = {sizes[n] - radii[n]}"
                 )
-            running_scale *= Fraction(sizes[n] + 1, witness[n] + 1)
-            running_defic *= 1 - Fraction(radii[n], sizes[n] + 1)
-            if scale[n] != running_scale:
+        want_scale, want_defic = _partial_products(radii, sizes, witness)
+        for n in range(d):
+            if scale[n] != want_scale[n]:
                 raise ValueError(f"scale partial at {n} is inconsistent")
-            if defic[n] != running_defic:
+            if defic[n] != want_defic[n]:
                 raise ValueError(f"deficiency partial at {n} is inconsistent")
             if defic[n] < DEFICIENCY_LOWER_BOUND:
                 raise ValueError(
@@ -150,6 +152,29 @@ class SynthesisTrace:
                 fraction_to_str(q) for q in self.deficiency_partial
             ],
         }
+
+
+def _check_rational(value, what: str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an integer or a Fraction, got {value!r}")
+
+
+def _partial_products(
+    radii: Sequence[int], sizes: Sequence[int], witness: Sequence[int]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The partial-product columns: running products over n of
+    (sizes[n]+1)/(witness[n]+1) and of (1 - radii[n]/(sizes[n]+1))."""
+    scale, defic = [], []
+    running_scale = running_defic = Fraction(1)
+    for m, s, w in zip(radii, sizes, witness):
+        running_scale *= Fraction(s + 1, w + 1)
+        running_defic *= 1 - Fraction(m, s + 1)
+        scale.append(running_scale)
+        defic.append(running_defic)
+    return tuple(scale), tuple(defic)
 
 
 def shift_to_nonpositive(
@@ -189,7 +214,7 @@ def choose_uniform_sizes(radii: Sequence[int]) -> tuple[int, ...]:
     """
     sizes = []
     for n, m in enumerate(radii):
-        m = int(m)
+        _check_int(m, "radius")
         if m < 0:
             raise ValueError(f"radius {m} at coordinate {n} is negative")
         sizes.append(max(2 * m + 1, (1 << (n + 2)) * m))
@@ -207,17 +232,8 @@ def synthesize_witness(spec: ProductMeasureSpec) -> SynthesisTrace:
     radii = tuple(-m.min_support for m in shifted.prefix)
     sizes = choose_uniform_sizes(radii)
     witness = tuple(s - m for s, m in zip(sizes, radii))
-    scale_partial = []
-    deficiency_partial = []
-    running_scale = Fraction(1)
-    running_defic = Fraction(1)
-    for n in range(len(radii)):
-        running_scale *= Fraction(sizes[n] + 1, witness[n] + 1)
-        running_defic *= 1 - Fraction(radii[n], sizes[n] + 1)
-        scale_partial.append(running_scale)
-        deficiency_partial.append(running_defic)
     return SynthesisTrace(
-        shifts, radii, sizes, witness, tuple(scale_partial), tuple(deficiency_partial)
+        shifts, radii, sizes, witness, *_partial_products(radii, sizes, witness)
     )
 
 

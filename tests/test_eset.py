@@ -1,9 +1,14 @@
 """Encoded graph set tests: building, gap checking, coin-flip bound."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull.acceptance import _coinflip_search_oracle
+from haarnull.codec import decode_point
 from haarnull.eset import (
     EncodedSet,
     GraphDataParseError,
@@ -33,6 +38,39 @@ def graph_datasets(draw, max_depth=3, max_size=3, max_data=8):
         g = tuple(draw(st.integers(0, ak)) for ak in a)
         data.append(GraphDatum(a, x, g))
     return data
+
+
+@st.composite
+def boundary_datasets(draw, max_depth=3, max_size=3, max_data=8):
+    """Graph data whose offsets may sit at size + 1, the negative controls."""
+    data = draw(graph_datasets(max_depth, max_size, max_data))
+    return [
+        GraphDatum(gd.a, gd.x, tuple(draw(st.integers(0, ak + 1)) for ak in gd.a))
+        for gd in data
+    ]
+
+
+@st.composite
+def arbitrary_encoded_sets(draw, max_depth=4, max_points=8):
+    """Any encoded set of depth 0-4, empty or with repeated points, with
+    codes clustered near 0, near 10^30 or near a random base below it, so
+    that close pairs and undecidable pairs both occur."""
+    d = draw(st.integers(0, max_depth))
+    base = st.sampled_from([0, 10**12, 10**30 - 4]) | st.integers(0, 10**30)
+    bases = draw(st.tuples(*[base] * d))
+    offsets = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=max_points)
+    )
+    return EncodedSet(
+        d, tuple(tuple(b + v for b, v in zip(bases, p)) for p in offsets)
+    )
+
+
+small_encoded_sets = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.integers(0, 6)] * d), min_size=0, max_size=6
+    ).map(lambda points: EncodedSet(d, tuple(points)))
+)
 
 
 BOUNDARY_CONTROL = [
@@ -174,6 +212,64 @@ class TestPairwiseGap:
         assert report.status == PASS
         assert report.parameters["undecidable_pairs"] == []
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        arbitrary_encoded_sets()
+        | graph_datasets().map(build_encoded_set)
+        | boundary_datasets().map(
+            lambda data: build_encoded_set(data, allow_boundary=True)
+        )
+    )
+    def test_matches_the_all_pairs_reference(self, es):
+        assert check_pairwise_gap(es).to_json() == all_pairs_gap(es).to_json()
+
+    def test_boundary_control_matches_the_all_pairs_reference(self):
+        es = build_encoded_set(BOUNDARY_CONTROL, allow_boundary=True)
+        assert check_pairwise_gap(es).to_json() == all_pairs_gap(es).to_json()
+
+
+def all_pairs_gap(es):
+    """The gap check comparing every pair and decoding every point: the
+    reference for the close-pair sweep (same report, byte for byte)."""
+    decoded = tuple(decode_point(p) for p in es.points)
+    undecidable = []
+    decided = 0
+    failure = None
+    for i in range(es.size):
+        for j in range(i + 1, es.size):
+            p, q = es.points[i], es.points[j]
+            if any(abs(pv - qv) >= 2 for pv, qv in zip(p, q)):
+                decided += 1
+                continue
+            dp, dq = decoded[i], decoded[j]
+            same_arg = dp.a == dq.a and dp.x == dq.x
+            if same_arg:
+                undecidable.append({"points": [p, q]})
+            elif failure is None:
+                failure = {
+                    "points": [p, q],
+                    "arguments": [
+                        {"a": dp.a, "x": dp.x},
+                        {"a": dq.a, "x": dq.x},
+                    ],
+                    "max_coordinate_gap": max(
+                        (abs(pv - qv) for pv, qv in zip(p, q)), default=0
+                    ),
+                }
+    return VerificationReport(
+        claim="pairwise-gap",
+        status=FAIL if failure else PASS,
+        depth=es.depth,
+        lhs=failure["max_coordinate_gap"] if failure else None,
+        rhs=2 if failure else None,
+        counterexample=failure,
+        parameters={
+            "points": es.size,
+            "decided_pairs": decided,
+            "undecidable_pairs": undecidable,
+        },
+    )
+
 
 class TestCoinflipBound:
     def test_passes_separated_set(self):
@@ -201,8 +297,8 @@ class TestCoinflipBound:
         assert coinflip_bound(EncodedSet(2, ())).status == PASS
 
     def test_budget_exceeded(self):
-        es = build_encoded_set(BOUNDARY_CONTROL, allow_boundary=True)
-        report = coinflip_bound(es, budget=1)
+        # the sweep compares (0,)-(1,) and (1,)-(2,); (0,)-(2,) is out of reach
+        report = coinflip_bound(EncodedSet(1, ((0,), (1,), (2,))), budget=1)
         assert report.status == BUDGET_EXCEEDED
         assert report.parameters["nodes_visited"] == 2
 
@@ -242,11 +338,11 @@ class TestCoinflipBound:
         report = coinflip_bound(EncodedSet(d, ((0,) * d, (0,) * (d - 1) + (1,))))
         assert report.status == FAIL
         assert report.counterexample["r"] == (0,) * d
-        assert report.parameters["nodes_visited"] == d + 1
+        assert report.parameters["nodes_visited"] == 1
 
-    def test_depth_1200_graph_data_exhaust_the_budget(self):
-        # the two data differ only in the last bit, so the search doubles at
-        # every coordinate and cannot finish
+    def test_depth_1200_graph_data_pass(self):
+        # the two data differ only in the last bit, so their last codes are
+        # 3 apart; a translate search doubles at every coordinate here
         d = 1200
         es = build_encoded_set(
             [
@@ -255,25 +351,29 @@ class TestCoinflipBound:
             ]
         )
         report = coinflip_bound(es, budget=10**4)
-        assert report.status == BUDGET_EXCEEDED
-        assert report.parameters["nodes_visited"] == 10**4 + 1
+        assert report.status == PASS
+        assert report.parameters["nodes_visited"] == 1
 
     @settings(deadline=None, max_examples=80)
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda d: st.lists(
-                st.tuples(*[st.integers(0, 6)] * d), min_size=0, max_size=6
-            ).map(lambda points: EncodedSet(d, tuple(points)))
-        ),
-        st.integers(1, 40),
-    )
+    @given(small_encoded_sets, st.integers(1, 40))
     def test_matches_the_recursive_search(self, es, budget):
-        assert coinflip_bound(es, budget=budget) == recursive_coinflip(es, budget)
+        expected = recursive_coinflip(es, budget)
+        if expected.status == BUDGET_EXCEEDED:
+            return
+        report = coinflip_bound(es)
+        assert report.status == expected.status
+        assert report.counterexample == expected.counterexample
+
+    @settings(deadline=None, max_examples=80)
+    @given(small_encoded_sets, st.integers(1, 40))
+    def test_search_oracle_matches_the_recursive_search(self, es, budget):
+        assert _coinflip_search_oracle(es, budget) == recursive_coinflip(es, budget)
 
 
 def recursive_coinflip(es, budget):
     """The coin-flip search written as a recursion: the reference for the
-    explicit-stack version (same candidate order, budget unit and counts)."""
+    explicit-stack `acceptance._coinflip_search_oracle` (same candidate
+    order, budget unit and counts) and for the closed form."""
     visited = 0
 
     class Exhausted(Exception):
@@ -316,6 +416,23 @@ def recursive_coinflip(es, budget):
         counterexample={"r": r, "hits": hits},
         parameters=parameters,
     )
+
+
+def test_traced_benchmark_reads_the_report_keys():
+    # bench/spans.py counts work from these report parameters in a traced
+    # run; a renamed key must fail here rather than there
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    counts = dict.fromkeys(spans.COUNTERS, 0)
+    es = EncodedSet(1, ((0,), (1,), (4,)))
+    gap = check_pairwise_gap(es)
+    flip = coinflip_bound(es)
+    spans.OBSERVERS["eset.check_pairwise_gap"](counts, gap, None)
+    spans.OBSERVERS["eset.coinflip_bound"](counts, flip, None)
+    assert counts["eset.check_pairwise_gap.pairs"] == 3
+    assert counts["eset.coinflip_bound.nodes_visited"] == 1
 
 
 class TestSerializationHelpers:

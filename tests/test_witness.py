@@ -75,6 +75,11 @@ class TestSizeRule:
         with pytest.raises(ValueError):
             choose_uniform_sizes((1, -1))
 
+    @pytest.mark.parametrize("radii", [[1.9, True], [1, True], [1.0], ["1"], [None]])
+    def test_non_integer_radius_rejected(self, radii):
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            choose_uniform_sizes(radii)
+
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=8))
     def test_rule_dominates_radius(self, radii):
         sizes = choose_uniform_sizes(radii)
@@ -178,6 +183,39 @@ class TestSynthesize:
                 good.scale_partial,
                 good.deficiency_partial,
             )
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, 0.5, "shift must be an integer"),
+            (0, True, "shift must be an integer"),
+            (1, 1.0, "radius must be an integer"),
+            (2, "4", "size must be an integer"),
+            (3, 3.0, "witness entry must be an integer"),
+            (4, "5/4", "scale partial must be an integer or a Fraction"),
+            (4, 1.25, "scale partial must be an integer or a Fraction"),
+            (5, 0.8, "deficiency partial must be an integer or a Fraction"),
+            (5, True, "deficiency partial must be an integer or a Fraction"),
+        ],
+    )
+    def test_constructor_rejects_non_exact_entries(self, column, value, message):
+        good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
+        columns = [
+            good.shifts,
+            good.radii,
+            good.sizes,
+            good.witness,
+            good.scale_partial,
+            good.deficiency_partial,
+        ]
+        columns[column] = (value,)
+        with pytest.raises(ValueError, match=message):
+            SynthesisTrace(*columns)
+
+    def test_constructor_takes_integer_partials(self):
+        trace = SynthesisTrace((0,), (0,), (1,), (1,), (1,), (1,))
+        assert trace.scale_partial == (Fraction(1),)
+        assert type(trace.deficiency_partial[0]) is Fraction
 
     def test_constructor_rejects_small_sizes(self):
         with pytest.raises(ValueError):
