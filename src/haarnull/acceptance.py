@@ -39,6 +39,7 @@ from .report import (
     FAIL,
     PASS,
     VerificationReport,
+    check_budget,
 )
 from .witness import (
     DEFICIENCY_LOWER_BOUND,
@@ -417,8 +418,7 @@ def _coinflip_search_oracle(
     is not bounded by Python's recursion limit.  It is the independent
     check of the closed-form `coinflip_bound`.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     d = es.depth
     points = es.points
 
@@ -604,6 +604,7 @@ def criterion_witness_prefix_oracle(
 
 def run_all(seed: int = 42, budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
     """Run the nine acceptance criteria with per-criterion derived seeds."""
+    check_budget(budget)
 
     def sub(index: int) -> int:
         return seed * 1_000_003 + index

@@ -161,9 +161,6 @@ class PointPrefix:
         """All offsets within the support box: g(k) in [0, a(k)]."""
         return all(0 <= gk <= ak for ak, gk in zip(self.a, self.g))
 
-    def triple(self, k: int) -> CodedTriple:
-        return CodedTriple(self.a[k], self.x[k], self.g[k])
-
 
 def encode_point(p: PointPrefix) -> tuple[int, ...]:
     """Coordinatewise encode.  For fixed sizes and bits this is a translation:

@@ -32,6 +32,7 @@ from .report import (
     FAIL,
     PASS,
     VerificationReport,
+    check_budget,
 )
 
 __all__ = [
@@ -61,43 +62,27 @@ class GraphDataParseError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class GraphDatum:
+class GraphDatum(PointPrefix):
     """One sample of a graph: sizes a, bits x, and offsets g, all depth d.
 
-    Constructor-level constraints are the codec's: a(k) >= 1, x(k) in
-    {0, 1}, g(k) in [0, a(k) + 1].  The tighter support-box condition
-    g(k) <= a(k) is a predicate, not a constructor constraint, so boundary
-    data (used as negative controls for the checkers) remain expressible.
+    A frozen `PointPrefix` whose constructor also demands the codec domain,
+    g(k) in [0, a(k) + 1]; the component checks (a(k) >= 1, x(k) in
+    {0, 1}, equal lengths) are the base class's.  The tighter support-box
+    condition g(k) <= a(k) stays the `in_support_box` predicate, not a
+    constructor constraint, so boundary data (used as negative controls for
+    the checkers) remain expressible.  A datum never equals a plain
+    `PointPrefix` with the same fields.
     """
 
-    a: tuple[int, ...]
-    x: tuple[int, ...]
-    g: tuple[int, ...]
-
     def __post_init__(self):
-        prefix = PointPrefix(tuple(self.a), tuple(self.x), tuple(self.g))
-        if not prefix.in_domain:
+        super().__post_init__()
+        if not self.in_domain:
             raise ValueError(
-                f"offsets {prefix.g} leave the codec domain for sizes {prefix.a}"
+                f"offsets {self.g} leave the codec domain for sizes {self.a}"
             )
-        object.__setattr__(self, "a", prefix.a)
-        object.__setattr__(self, "x", prefix.x)
-        object.__setattr__(self, "g", prefix.g)
-
-    @property
-    def depth(self) -> int:
-        return len(self.a)
-
-    @property
-    def in_support_box(self) -> bool:
-        return all(gk <= ak for ak, gk in zip(self.a, self.g))
-
-    def point_prefix(self) -> PointPrefix:
-        return PointPrefix(self.a, self.x, self.g)
 
     def encoded(self) -> tuple[int, ...]:
-        return encode_point(self.point_prefix())
+        return encode_point(self)
 
 
 @dataclass(frozen=True)
@@ -135,9 +120,6 @@ class EncodedSet:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def decoded(self) -> tuple[PointPrefix, ...]:
-        return tuple(decode_point(p) for p in self.points)
 
 
 def build_encoded_set(
@@ -271,8 +253,7 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
     The translate search this replaces is kept as the independent oracle
     `acceptance._coinflip_search_oracle`.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     points = es.points
     close, compared = _close_pairs(points, budget)
     parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}

@@ -252,6 +252,8 @@ def uniform_product_spec(
 
 def materialize(spec: ProductMeasureSpec, depth: int) -> ProductMeasureSpec:
     """Extend the explicit prefix to `depth` by resolving the tail policy."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth <= spec.depth:
         return spec
     extra = tuple(spec.coordinate(n) for n in range(spec.depth, depth))
@@ -331,6 +333,9 @@ class CylinderSet:
             )
 
 
+_WHOLE_SPACE = CylinderSet.whole_space()
+
+
 def translate_set(cyl: CylinderSet, x: Sequence[int]) -> CylinderSet:
     """Shift every prefix coordinatewise by x (length must equal the depth)."""
     shift = tuple(_check_int(v, "shift entry") for v in x)
@@ -376,17 +381,7 @@ def support_box(spec: ProductMeasureSpec) -> Box:
 
 def box_measure(spec: ProductMeasureSpec, box: Box) -> Fraction:
     """Measure of the box cylinder {y : y(n) in [lo_n, hi_n] for n < len(box)}."""
-    if not spec.resolvable_to(len(box)):
-        raise UnsupportedDepthError(
-            f"box depth {len(box)} exceeds prefix depth {spec.depth} "
-            "and the spec declares no tail policy"
-        )
-    f = Fraction(1)
-    for n, (lo, hi) in enumerate(box):
-        f *= spec.coordinate(n).interval_mass(lo, hi)
-        if f == 0:
-            break
-    return f
+    return box_intersection_measure(spec, _WHOLE_SPACE, box)
 
 
 def box_intersection_measure(

@@ -8,7 +8,14 @@ from typing import Any, Optional
 
 from .serialization import jsonify
 
-__all__ = ["PASS", "FAIL", "BUDGET_EXCEEDED", "DEFAULT_BUDGET", "VerificationReport"]
+__all__ = [
+    "PASS",
+    "FAIL",
+    "BUDGET_EXCEEDED",
+    "DEFAULT_BUDGET",
+    "VerificationReport",
+    "check_budget",
+]
 
 PASS = "pass"
 FAIL = "fail"
@@ -17,6 +24,12 @@ BUDGET_EXCEEDED = "budget-exceeded"
 # Default cap on the work units of a budgeted check: translates in the
 # witness-prefix window, pairs compared for the coin-flip bound.
 DEFAULT_BUDGET = 10**7
+
+
+def check_budget(budget: int) -> None:
+    """Reject a budget below 1, before any work is done under it."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 @dataclass

@@ -4,7 +4,10 @@ The pipeline: shift every coordinate measure so its support sits in
 [-radius, 0] with max exactly 0, pick a per-coordinate uniform smoothing
 size larger than twice the radius (with a depth-independent positive lower
 bound on the running product of (1 - radius/(size+1))), and read off the
-witness entries size - radius.
+witness entries size - radius.  `SynthesisTrace` takes the three given
+columns (shifts, radii, sizes) and derives the other three (the witness
+entries and both partial-product columns) from them once, so no column can
+disagree with another.
 
 `verify_restrict_normalize` checks, as exact rational identities at the
 spec's depth, the facts that make the construction work: convolving the
@@ -21,7 +24,7 @@ is kept as the independent oracle `acceptance._witness_prefix_oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,6 +49,7 @@ from .report import (
     FAIL,
     PASS,
     VerificationReport,
+    check_budget,
 )
 
 __all__ = [
@@ -70,70 +74,60 @@ DEFICIENCY_LOWER_BOUND = Fraction(57, 100)
 class SynthesisTrace:
     """Per-coordinate record of one synthesis run at depth d.
 
+    Three columns are given:
+
     shifts[n]   translation applied to coordinate n to make its support end at 0
     radii[n]    support radius after shifting (support is [-radii[n], 0])
     sizes[n]    uniform smoothing size, always > 2 * radii[n]
+
+    and three are derived from them once, at construction:
+
     witness[n]  sizes[n] - radii[n], the synthesized witness entry
     scale_partial[k]       running product of (sizes[n]+1)/(witness[n]+1), n <= k
     deficiency_partial[k]  running product of (1 - radii[n]/(sizes[n]+1)), n <= k
 
-    The deficiency partials are nonincreasing and stay above
-    DEFICIENCY_LOWER_BOUND; construction re-derives both partial-product
-    columns and rejects inconsistent data.  The per-coordinate columns take
-    integers only, and the partial-product columns integers or Fractions;
-    nothing is rounded or parsed.
+    The given columns take integers only; nothing is rounded or parsed.  The
+    deficiency partials are nonincreasing, and construction rejects sizes
+    that let them dip below DEFICIENCY_LOWER_BOUND.
     """
 
     shifts: tuple[int, ...]
     radii: tuple[int, ...]
     sizes: tuple[int, ...]
-    witness: tuple[int, ...]
-    scale_partial: tuple[Fraction, ...]
-    deficiency_partial: tuple[Fraction, ...]
+    witness: tuple[int, ...] = field(init=False)
+    scale_partial: tuple[Fraction, ...] = field(init=False)
+    deficiency_partial: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         shifts = tuple(_check_int(v, "shift") for v in self.shifts)
         radii = tuple(_check_int(v, "radius") for v in self.radii)
         sizes = tuple(_check_int(v, "size") for v in self.sizes)
-        witness = tuple(_check_int(v, "witness entry") for v in self.witness)
-        scale = tuple(_check_rational(v, "scale partial") for v in self.scale_partial)
-        defic = tuple(
-            _check_rational(v, "deficiency partial") for v in self.deficiency_partial
-        )
-        d = len(shifts)
-        if not (len(radii) == len(sizes) == len(witness) == d):
+        if not (len(shifts) == len(radii) == len(sizes)):
             raise ValueError("per-coordinate columns have unequal lengths")
-        if not (len(scale) == len(defic) == d):
-            raise ValueError("partial-product columns have unequal lengths")
-        for n in range(d):
-            if radii[n] < 0:
-                raise ValueError(f"radius {radii[n]} at coordinate {n} is negative")
-            if sizes[n] <= 2 * radii[n]:
+        witness, scale, defic = [], [], []
+        running_scale = running_defic = Fraction(1)
+        for n, (m, s) in enumerate(zip(radii, sizes)):
+            if m < 0:
+                raise ValueError(f"radius {m} at coordinate {n} is negative")
+            if s <= 2 * m:
+                raise ValueError(f"size {s} at coordinate {n} is not > 2*{m}")
+            w = s - m
+            running_scale *= Fraction(s + 1, w + 1)
+            running_defic *= 1 - Fraction(m, s + 1)
+            if running_defic < DEFICIENCY_LOWER_BOUND:
                 raise ValueError(
-                    f"size {sizes[n]} at coordinate {n} is not > 2*{radii[n]}"
-                )
-            if witness[n] != sizes[n] - radii[n]:
-                raise ValueError(
-                    f"witness entry {witness[n]} at coordinate {n} "
-                    f"is not size - radius = {sizes[n] - radii[n]}"
-                )
-        want_scale, want_defic = _partial_products(radii, sizes, witness)
-        for n in range(d):
-            if scale[n] != want_scale[n]:
-                raise ValueError(f"scale partial at {n} is inconsistent")
-            if defic[n] != want_defic[n]:
-                raise ValueError(f"deficiency partial at {n} is inconsistent")
-            if defic[n] < DEFICIENCY_LOWER_BOUND:
-                raise ValueError(
-                    f"deficiency partial {defic[n]} at {n} dips below "
+                    f"deficiency partial {running_defic} at {n} dips below "
                     f"{DEFICIENCY_LOWER_BOUND}"
                 )
+            witness.append(w)
+            scale.append(running_scale)
+            defic.append(running_defic)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "scale_partial", scale)
-        object.__setattr__(self, "deficiency_partial", defic)
+        object.__setattr__(self, "witness", tuple(witness))
+        object.__setattr__(self, "scale_partial", tuple(scale))
+        object.__setattr__(self, "deficiency_partial", tuple(defic))
 
     @property
     def depth(self) -> int:
@@ -152,29 +146,6 @@ class SynthesisTrace:
                 fraction_to_str(q) for q in self.deficiency_partial
             ],
         }
-
-
-def _check_rational(value, what: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"{what} must be an integer or a Fraction, got {value!r}")
-
-
-def _partial_products(
-    radii: Sequence[int], sizes: Sequence[int], witness: Sequence[int]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The partial-product columns: running products over n of
-    (sizes[n]+1)/(witness[n]+1) and of (1 - radii[n]/(sizes[n]+1))."""
-    scale, defic = [], []
-    running_scale = running_defic = Fraction(1)
-    for m, s, w in zip(radii, sizes, witness):
-        running_scale *= Fraction(s + 1, w + 1)
-        running_defic *= 1 - Fraction(m, s + 1)
-        scale.append(running_scale)
-        defic.append(running_defic)
-    return tuple(scale), tuple(defic)
 
 
 def shift_to_nonpositive(
@@ -224,17 +195,13 @@ def choose_uniform_sizes(radii: Sequence[int]) -> tuple[int, ...]:
 def synthesize_witness(spec: ProductMeasureSpec) -> SynthesisTrace:
     """Run the full pipeline on a spec with finitely supported coordinates.
 
-    Shifts the prefix coordinates nonpositive, reads off the support radii,
-    applies the size rule, and fills in the witness entries and both
-    partial-product columns.
+    Shifts the prefix coordinates nonpositive, reads off the support radii
+    and applies the size rule; the trace derives the witness entries and
+    both partial-product columns.
     """
     shifted, shifts = shift_to_nonpositive(spec)
     radii = tuple(-m.min_support for m in shifted.prefix)
-    sizes = choose_uniform_sizes(radii)
-    witness = tuple(s - m for s, m in zip(sizes, radii))
-    return SynthesisTrace(
-        shifts, radii, sizes, witness, *_partial_products(radii, sizes, witness)
-    )
+    return SynthesisTrace(shifts, radii, choose_uniform_sizes(radii))
 
 
 def _check_shifted(mu: ProductMeasureSpec, trace: SynthesisTrace) -> None:
@@ -343,6 +310,7 @@ def is_witness_prefix(
     `acceptance._witness_prefix_oracle` keeps the scan over the whole
     window as the independent check of this.
     """
+    check_budget(budget)
     wit = tuple(_check_int(v, "witness entry") for v in witness)
     for n, w in enumerate(wit):
         if w < 1:

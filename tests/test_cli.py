@@ -143,6 +143,15 @@ class TestWitnessCommands:
         assert code == 1
         assert "depth" in err
 
+    def test_synth_negative_depth_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC_JSON))
+        code, out, err = run(
+            capsys, "witness", "synth", str(spec), "--depth", "-2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: depth must be >= 0, got -2\n"
+
     def test_synth_bad_json_is_parse_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{nope")
@@ -237,6 +246,19 @@ class TestWitnessCommands:
         )
         assert code == 1
         assert "budget-exceeded" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("prefixes", [[], [[0]]])
+    def test_check_prefix_budget_below_one(self, capsys, tmp_path, budget, prefixes):
+        wit = tmp_path / "wit.json"
+        wit.write_text("[3]")
+        cyl = tmp_path / "cyl.json"
+        cyl.write_text(json.dumps({"depth": 1, "prefixes": prefixes}))
+        code, out, err = run(
+            capsys, "witness", "check-prefix", str(wit), str(cyl), "--budget", budget
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: budget must be >= 1, got {budget}\n"
 
     def test_check_prefix_bad_witness_shape(self, capsys, tmp_path):
         wit = tmp_path / "wit.json"
@@ -526,6 +548,15 @@ class TestAcceptanceCommand:
         assert code == 0
         assert "9/9 criteria passed" in out
         assert out.count("[PASS]") == 9
+
+    def test_budget_below_one_runs_nothing(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(acceptance, "criterion_codec_roundtrip", never)
+        code, out, err = run(capsys, "eset", "acceptance", "--budget", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be >= 1, got 0\n"
 
     def test_failing_criterion(self, capsys, monkeypatch):
         results = [

@@ -1,5 +1,6 @@
 """Encoded graph set tests: building, gap checking, coin-flip bound."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarnull.acceptance import _coinflip_search_oracle
-from haarnull.codec import decode_point
+from haarnull.codec import PointPrefix, decode_point, encode_point
 from haarnull.eset import (
     EncodedSet,
     GraphDataParseError,
@@ -104,6 +105,23 @@ class TestGraphDatum:
         with pytest.raises(ValueError):
             GraphDatum((1, 1), (0,), (0, 0))
 
+    @given(boundary_datasets())
+    def test_is_a_point_prefix(self, data):
+        for gd in data:
+            plain = PointPrefix(gd.a, gd.x, gd.g)
+            assert isinstance(gd, PointPrefix)
+            assert gd.encoded() == encode_point(plain)
+            assert gd != plain and plain != gd
+            assert repr(gd) == f"GraphDatum(a={gd.a!r}, x={gd.x!r}, g={gd.g!r})"
+
+    def test_repr_and_domain_message(self):
+        assert repr(GraphDatum([1, 2], [0, 1], [1, 3])) == (
+            "GraphDatum(a=(1, 2), x=(0, 1), g=(1, 3))"
+        )
+        message = r"^offsets \(0, 4\) leave the codec domain for sizes \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            GraphDatum([1, 2], [0, 1], [0, 4])
+
 
 class TestEncodedSet:
     def test_canonical(self):
@@ -118,14 +136,6 @@ class TestEncodedSet:
             EncodedSet(1, ((-1,),))
         with pytest.raises(ValueError):
             EncodedSet(-1, ())
-
-    def test_decoded(self):
-        es = EncodedSet(1, ((1,), (3,)))
-        decoded = es.decoded()
-        assert [(p.a, p.x, p.g) for p in decoded] == [
-            ((1,), (0,), (1,)),
-            ((1,), (1,), (0,)),
-        ]
 
 
 class TestBuild:
@@ -418,13 +428,18 @@ def recursive_coinflip(es, budget):
     )
 
 
-def test_traced_benchmark_reads_the_report_keys():
-    # bench/spans.py counts work from these report parameters in a traced
-    # run; a renamed key must fail here rather than there
+def _load_bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_benchmark_reads_the_report_keys():
+    # bench/spans.py counts work from these report parameters in a traced
+    # run; a renamed key must fail here rather than there
+    spans = _load_bench_spans()
     counts = dict.fromkeys(spans.COUNTERS, 0)
     es = EncodedSet(1, ((0,), (1,), (4,)))
     gap = check_pairwise_gap(es)
@@ -433,6 +448,17 @@ def test_traced_benchmark_reads_the_report_keys():
     spans.OBSERVERS["eset.coinflip_bound"](counts, flip, None)
     assert counts["eset.check_pairwise_gap.pairs"] == 3
     assert counts["eset.coinflip_bound.nodes_visited"] == 1
+
+
+def test_traced_benchmark_targets_resolve():
+    # the traced run wraps these functions by name; a deleted or renamed
+    # one must fail here rather than there
+    spans = _load_bench_spans()
+    for module, attr in spans.TARGETS:
+        obj = importlib.import_module(f"haarnull.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
 
 
 class TestSerializationHelpers:

@@ -272,6 +272,12 @@ class TestProductSpec:
         with pytest.raises(UnsupportedDepthError):
             materialize(ProductMeasureSpec((uniform(1),)), 2)
 
+    def test_materialize_rejects_negative_depth(self):
+        spec = ProductMeasureSpec((uniform(1),), UniformTail(3))
+        assert materialize(spec, 0) == spec
+        with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
+            materialize(spec, -2)
+
     def test_uniform_product_spec(self):
         spec = uniform_product_spec((1, 2))
         assert spec.prefix == (uniform(1), uniform(2))
@@ -388,11 +394,18 @@ class TestBoxes:
         )
         assert support_box(spec) == ((-2, 1), (0, 3))
 
-    @given(small_specs())
-    def test_box_measure_matches_expansion(self, spec):
-        box = support_box(spec)
-        whole = CylinderSet.whole_space().expand(box)
-        assert box_measure(spec, box) == measure_of(spec, whole) == 1
+    @settings(deadline=None)
+    @given(st.data())
+    def test_box_measure_matches_expansion(self, data):
+        spec = data.draw(small_specs())
+        support = support_box(spec)
+        whole = CylinderSet.whole_space()
+        assert box_measure(spec, support) == measure_of(spec, whole.expand(support))
+        assert box_measure(spec, support) == 1
+        # boxes inside, across and outside the support; lo > hi is empty
+        ends = [st.integers(lo - 3, hi + 3) for lo, hi in support]
+        box = tuple((data.draw(e), data.draw(e)) for e in ends)
+        assert box_measure(spec, box) == measure_of(spec, whole.expand(box))
 
     def test_box_measure_clips(self):
         spec = uniform_product_spec((3,))

@@ -156,27 +156,23 @@ class TestSynthesize:
 
     def test_constructor_rejects_inconsistent_columns(self):
         good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            SynthesisTrace(good.shifts + (0,), good.radii, good.sizes)
+        with pytest.raises(ValueError, match="unequal lengths"):
+            SynthesisTrace(good.shifts, good.radii, good.sizes + (4,))
+
+    def test_constructor_derives_the_other_columns(self):
+        good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
+        assert SynthesisTrace(good.shifts, good.radii, good.sizes) == good
+        trace = SynthesisTrace((0,), (0,), (1,))
+        assert trace.witness == (1,)
+        assert trace.scale_partial == trace.deficiency_partial == (Fraction(1),)
+        assert {type(q) for q in trace.scale_partial + trace.deficiency_partial} == {
+            Fraction
+        }
+        with pytest.raises(TypeError):
             SynthesisTrace(
                 good.shifts,
-                good.radii,
-                good.sizes,
-                (good.witness[0] + 1,),
-                good.scale_partial,
-                good.deficiency_partial,
-            )
-        with pytest.raises(ValueError):
-            SynthesisTrace(
-                good.shifts,
-                good.radii,
-                good.sizes,
-                good.witness,
-                (Fraction(1),),
-                good.deficiency_partial,
-            )
-        with pytest.raises(ValueError):
-            SynthesisTrace(
-                good.shifts + (0,),
                 good.radii,
                 good.sizes,
                 good.witness,
@@ -191,37 +187,31 @@ class TestSynthesize:
             (0, True, "shift must be an integer"),
             (1, 1.0, "radius must be an integer"),
             (2, "4", "size must be an integer"),
-            (3, 3.0, "witness entry must be an integer"),
-            (4, "5/4", "scale partial must be an integer or a Fraction"),
-            (4, 1.25, "scale partial must be an integer or a Fraction"),
-            (5, 0.8, "deficiency partial must be an integer or a Fraction"),
-            (5, True, "deficiency partial must be an integer or a Fraction"),
         ],
     )
     def test_constructor_rejects_non_exact_entries(self, column, value, message):
         good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
-        columns = [
-            good.shifts,
-            good.radii,
-            good.sizes,
-            good.witness,
-            good.scale_partial,
-            good.deficiency_partial,
-        ]
+        columns = [good.shifts, good.radii, good.sizes]
         columns[column] = (value,)
         with pytest.raises(ValueError, match=message):
             SynthesisTrace(*columns)
 
-    def test_constructor_takes_integer_partials(self):
-        trace = SynthesisTrace((0,), (0,), (1,), (1,), (1,), (1,))
-        assert trace.scale_partial == (Fraction(1),)
-        assert type(trace.deficiency_partial[0]) is Fraction
-
     def test_constructor_rejects_small_sizes(self):
-        with pytest.raises(ValueError):
-            SynthesisTrace(
-                (0,), (2,), (4,), (2,), (Fraction(5, 3),), (Fraction(3, 5),)
-            )
+        with pytest.raises(ValueError, match=r"size 4 at coordinate 0 is not > 2\*2"):
+            SynthesisTrace((0,), (2,), (4,))
+
+    def test_constructor_rejects_negative_radii(self):
+        with pytest.raises(ValueError, match="radius -1 at coordinate 0 is negative"):
+            SynthesisTrace((0,), (-1,), (1,))
+
+    def test_constructor_enforces_the_deficiency_floor(self):
+        # (1 - 1/4)^2 = 9/16 < 57/100; only user-given sizes can get there,
+        # the size rule keeps every partial above the floor
+        with pytest.raises(ValueError, match="9/16 at 1 dips below 57/100"):
+            SynthesisTrace((0, 0), (1, 1), (3, 3))
+        assert SynthesisTrace((0,), (1,), (3,)).deficiency_partial == (
+            Fraction(3, 4),
+        )
 
     def test_deficiency_certificate(self):
         partial = Fraction(1)
@@ -392,6 +382,13 @@ class TestIsWitnessPrefix:
         assert report.status == BUDGET_EXCEEDED
         assert report.parameters["translates_required"] == 7
         assert report.parameters["budget"] == 2
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_validated_before_the_empty_set_pass(self, budget):
+        message = f"budget must be >= 1, got {budget}"
+        for cyl in (CylinderSet.empty(1), CylinderSet(1, ((0,),))):
+            with pytest.raises(ValueError, match=message):
+                is_witness_prefix((3,), cyl, budget=budget)
 
     @pytest.mark.parametrize("witness", [(1.9, 2), (True, 2), ("1", 2)])
     def test_entries_must_be_integers(self, witness):
