@@ -10,6 +10,11 @@ Operations that would need coordinates the spec cannot resolve raise
 
 All values are immutable once constructed and all functions are pure, so
 they can be shared freely across threads.
+
+The public `FiniteMeasureZ` constructor checks every point and mass it is
+given.  The builders `uniform`, `dirac`, `convolve` and `translate_measure`
+skip re-checking what holds by construction (integer points, positive
+`Fraction` masses summing to 1) and build through `_trusted_measure`.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ class FiniteMeasureZ:
     Canonical form: zero-mass points are dropped, every remaining mass is a
     positive `Fraction`, and the masses sum to exactly 1.  The support is the
     key set of `weights`; treat the mapping as read-only.
+
+    The constructor takes integer points and `int` or `Fraction` masses and
+    checks all of the above.  Measures built by `uniform`, `dirac`,
+    `convolve` and `translate_measure` are canonical by construction and
+    skip the checks.
     """
 
     weights: Mapping[int, Fraction]
@@ -81,11 +91,18 @@ class FiniteMeasureZ:
     def __post_init__(self):
         clean: dict[int, Fraction] = {}
         for point, mass in self.weights.items():
-            _check_int(point, "support point")
-            mass = mass if isinstance(mass, Fraction) else Fraction(mass)
-            if mass < 0:
+            if type(point) is not int:
+                _check_int(point, "support point")
+            if not isinstance(mass, Fraction):
+                if not isinstance(mass, int) or isinstance(mass, bool):
+                    raise ValueError(
+                        f"mass at point {point} must be an integer or a "
+                        f"Fraction, got {mass!r}"
+                    )
+                mass = Fraction(mass)
+            if mass.numerator < 0:
                 raise ValueError(f"negative mass {mass} at point {point}")
-            if mass != 0:
+            if mass.numerator:
                 clean[point] = mass
         if not clean:
             raise ValueError("a probability measure needs nonempty support")
@@ -127,17 +144,30 @@ class FiniteMeasureZ:
         return Fraction(num, D)
 
 
+def _trusted_measure(weights: dict[int, Fraction]) -> FiniteMeasureZ:
+    """Wrap a fresh dict that is already in canonical form.
+
+    The caller guarantees integer points and positive `Fraction` masses that
+    sum to exactly 1.  Skips `__post_init__`; the result is indistinguishable
+    from FiniteMeasureZ(weights) under ==, hash and repr.
+    """
+    m = object.__new__(FiniteMeasureZ)
+    m.__dict__["weights"] = weights
+    return m
+
+
 def uniform(k: int) -> FiniteMeasureZ:
     """The uniform measure on {0, ..., k}, mass 1/(k+1) per point."""
+    _check_int(k, "uniform size")
     if k < 0:
         raise ValueError(f"uniform size must be >= 0, got {k}")
     w = Fraction(1, k + 1)
-    return FiniteMeasureZ({z: w for z in range(k + 1)})
+    return _trusted_measure(dict.fromkeys(range(k + 1), w))
 
 
 def dirac(z: int) -> FiniteMeasureZ:
     """The point mass at z."""
-    return FiniteMeasureZ({_check_int(z, "point"): Fraction(1)})
+    return _trusted_measure({_check_int(z, "point"): Fraction(1)})
 
 
 def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
@@ -147,6 +177,8 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
     Minkowski sum of the two supports and the total mass stays exactly 1.
     Both operands are scaled to integer weights over their common
     denominators Dp and Dq, so each output mass is one Fraction(c, Dp * Dq).
+    Every c is a sum of products of positive integers, and the c sum to
+    Dp * Dq, so the result is canonical without a check.
     """
     Dp = _common_denominator(p.weights.values())
     Dq = _common_denominator(q.weights.values())
@@ -158,13 +190,13 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
             z = x + y
             out[z] = out.get(z, 0) + a * b
     D = Dp * Dq
-    return FiniteMeasureZ({z: Fraction(c, D) for z, c in out.items()})
+    return _trusted_measure({z: Fraction(c, D) for z, c in out.items()})
 
 
 def translate_measure(p: FiniteMeasureZ, shift: int) -> FiniteMeasureZ:
     """Pullback of p under the map X -> X + shift: result(z) = p(z + shift)."""
     _check_int(shift, "shift")
-    return FiniteMeasureZ({z - shift: m for z, m in p.weights.items()})
+    return _trusted_measure({z - shift: m for z, m in p.weights.items()})
 
 
 @dataclass(frozen=True)
@@ -408,17 +440,22 @@ def box_intersection_measure(
     tail_factor = Fraction(1)
     for n in range(cyl.depth, len(box)):
         lo, hi = box[n]
-        tail_factor *= coords[n].interval_mass(lo, hi)
-    total = Fraction(0)
+        mass = coords[n].interval_mass(lo, hi)
+        if not mass:
+            return Fraction(0)
+        tail_factor *= mass
+    total = None
     for s in cyl.prefixes:
         f = tail_factor
         for n, v in enumerate(s):
             lo, hi = box[n]
-            f *= coords[n].mass(v) if lo <= v <= hi else Fraction(0)
-            if f == 0:
+            weights = coords[n].weights
+            if not lo <= v <= hi or v not in weights:
                 break
-        total += f
-    return total
+            f *= weights[v]
+        else:
+            total = f if total is None else total + f
+    return Fraction(0) if total is None else total
 
 
 def lattice_points(box: Box) -> Iterator[tuple[int, ...]]:

@@ -40,7 +40,6 @@ from .measures import (
     convolve,
     measure_of,
     translate_measure,
-    uniform,
     uniform_product_spec,
 )
 from .report import (
@@ -248,7 +247,7 @@ def verify_restrict_normalize(
     flat = uniform_product_spec(trace.sizes)
     wit = uniform_product_spec(trace.witness)
     smooth = ProductMeasureSpec(
-        tuple(convolve(m, uniform(k)) for m, k in zip(mu.prefix, trace.sizes))
+        tuple(convolve(m, u) for m, u in zip(mu.prefix, flat.prefix))
     )
     box = tuple((0, w) for w in trace.witness)
     scale = trace.scale_partial[-1] if d else Fraction(1)

@@ -1,7 +1,9 @@
 """Exact-arithmetic tests for measures, product specs, and cylinder sets."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from haarnull.measures import (
     uniform,
     uniform_product_spec,
 )
+from haarnull.serialization import measure_from_dict
 
 
 @st.composite
@@ -98,6 +101,12 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError):
             uniform(-1)
 
+    @pytest.mark.parametrize("k", [True, 2.0, "3"])
+    def test_uniform_rejects_non_integer_sizes(self, k):
+        with pytest.raises(ValueError) as info:
+            uniform(k)
+        assert str(info.value) == f"uniform size must be an integer, got {k!r}"
+
     def test_dirac(self):
         assert dirac(-4).weights == {-4: Fraction(1)}
 
@@ -120,16 +129,50 @@ class TestFiniteMeasure:
         assert str(info.value) == f"total mass is {total}, expected exactly 1"
 
     def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteMeasureZ({})
+        for weights in ({}, {4: Fraction(0), 5: 0}):
+            with pytest.raises(ValueError) as info:
+                FiniteMeasureZ(weights)
+            assert str(info.value) == "a probability measure needs nonempty support"
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteMeasureZ({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+        for weights, message in (
+            ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, "negative mass -1/2 at point 1"),
+            ({0: -1, 1: 2}, "negative mass -1 at point 0"),
+        ):
+            with pytest.raises(ValueError) as info:
+                FiniteMeasureZ(weights)
+            assert str(info.value) == message
 
     def test_noninteger_point_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteMeasureZ({0.5: Fraction(1)})
+        for point in (0.5, True, "0"):
+            with pytest.raises(ValueError) as info:
+                FiniteMeasureZ({point: Fraction(1)})
+            assert str(info.value) == f"support point must be an integer, got {point!r}"
+
+    @pytest.mark.parametrize(
+        "weights, bad",
+        [
+            ({0: 0.5, 1: 0.5}, 0),
+            ({0: True}, 0),
+            ({0: Fraction(1, 2), 1: "1/2"}, 1),
+            ({2: Decimal(1)}, 2),
+            ({-1: 1.0}, -1),
+            ({0: 1, 3: None}, 3),
+        ],
+        ids=["float", "bool", "string", "decimal", "float-one", "none"],
+    )
+    def test_masses_must_be_int_or_fraction(self, weights, bad):
+        with pytest.raises(ValueError) as info:
+            FiniteMeasureZ(weights)
+        assert str(info.value) == (
+            f"mass at point {bad} must be an integer or a Fraction, "
+            f"got {weights[bad]!r}"
+        )
+
+    def test_integer_masses_become_fractions(self):
+        m = FiniteMeasureZ({3: 1, 4: 0})
+        assert m.weights == {3: Fraction(1)}
+        assert type(m.weights[3]) is Fraction
 
     def test_zero_mass_points_dropped(self):
         m = FiniteMeasureZ({0: Fraction(1), 7: Fraction(0)})
@@ -160,6 +203,45 @@ class TestFiniteMeasure:
         clone = FiniteMeasureZ(dict(m.weights))
         assert clone == m
         assert hash(clone) == hash(m)
+
+
+class TestTrustedConstruction:
+    """The builders skip the constructor's checks; their results must pass them."""
+
+    @given(
+        st.one_of(
+            st.integers(0, 400).map(uniform),
+            st.integers(-(10**6), 10**6).map(dirac),
+            st.builds(convolve, mixed_measures(), mixed_measures()),
+            st.builds(translate_measure, mixed_measures(), st.integers(-9, 9)),
+        )
+    )
+    def test_built_measures_equal_checked_ones(self, m):
+        assert type(m.weights) is dict
+        assert all(type(z) is int for z in m.weights)
+        assert all(type(w) is Fraction and w > 0 for w in m.weights.values())
+        checked = FiniteMeasureZ(dict(m.weights))
+        assert checked == m
+        assert hash(checked) == hash(m)
+        assert repr(checked) == repr(m)
+
+    @given(mixed_measures())
+    def test_translate_stores_a_fresh_dict(self, p):
+        assert translate_measure(p, 0).weights is not p.weights
+
+    def test_trusted_path_stays_in_measures(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "haarnull"
+        users = {
+            path.name
+            for path in package.glob("*.py")
+            if "_trusted_measure" in path.read_text()
+        }
+        assert users == {"measures.py"}
+
+    def test_parsed_measures_are_checked(self):
+        with pytest.raises(ValueError) as info:
+            measure_from_dict({"weights": {"0": "1/2"}})
+        assert str(info.value) == "total mass is 1/2, expected exactly 1"
 
 
 class TestConvolve:
@@ -411,6 +493,25 @@ class TestBoxes:
         spec = uniform_product_spec((3,))
         assert box_measure(spec, ((1, 2),)) == Fraction(1, 2)
         assert box_measure(spec, ((4, 9),)) == 0
+
+    def test_boxes_missing_the_support_measure_an_exact_zero(self):
+        spec = uniform_product_spec((3, 1))
+        for box in (((4, 9), (0, 1)), ((0, 3), (2, 1)), ((1, 2), (-3, -1))):
+            got = box_measure(spec, box)
+            assert type(got) is Fraction and got == 0
+        box = ((0, 3), (0, 1))
+        for cyl in (
+            CylinderSet.empty(1),
+            CylinderSet(1, ((4,), (-1,))),
+            CylinderSet(2, ((0, 2), (5, 0))),
+        ):
+            got = box_intersection_measure(spec, cyl, box)
+            assert type(got) is Fraction and got == 0
+
+    def test_box_intersection_of_one_cylinder(self):
+        spec = uniform_product_spec((3, 1))
+        got = box_intersection_measure(spec, CylinderSet(1, ((2,),)), ((0, 3), (1, 1)))
+        assert type(got) is Fraction and got == Fraction(1, 8)
 
     def test_box_measure_depth_guard(self):
         with pytest.raises(UnsupportedDepthError):
