@@ -38,6 +38,7 @@ from .serialization import (
     cylinder_from_dict,
     fraction_to_str,
     jsonify,
+    parse_json,
     spec_from_dict,
 )
 from .witness import is_witness_prefix, synthesize_witness
@@ -53,7 +54,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
-    return json.loads(_read_text(path))
+    text = _read_text(path)
+    try:
+        return parse_json(text)
+    except ValueError as exc:  # syntax, a repeated key, an over-long integer
+        raise ValueError(f"invalid JSON: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -188,9 +193,10 @@ def cmd_witness_check_prefix(args) -> int:
 
 def _load_encoded_set(args):
     if args.encoded:
+        text = _read_text(args.data)
         try:
-            raw = _read_json(args.data)
-        except json.JSONDecodeError as exc:
+            raw = parse_json(text)
+        except ValueError as exc:  # syntax, a repeated key, an over-long integer
             raise GraphDataParseError(f"invalid JSON: {exc}") from exc
         return encoded_set_from_dict(raw)
     pairs = load_graph_data(_read_text(args.data).splitlines())
@@ -396,9 +402,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -136,16 +136,29 @@ class PointPrefix:
     g: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(_check_size(v) for v in self.a)
-        x = tuple(_check_bit(v) for v in self.x)
-        g = tuple(_check_offset(v) for v in self.g)
+        # Plain ints are tested inline, as in `encode`; any other value goes
+        # to the checker, which raises with the usual message or lets an int
+        # subclass through.
+        a = tuple(self.a)
+        for v in a:
+            if type(v) is not int or v < 1:
+                _check_size(v)
+        x = tuple(self.x)
+        for v in x:
+            if type(v) is not int or not 0 <= v <= 1:
+                _check_bit(v)
+        g = tuple(self.g)
+        for v in g:
+            if type(v) is not int:
+                _check_offset(v)
         if not (len(a) == len(x) == len(g)):
             raise ValueError(
                 f"component lengths differ: {len(a)}, {len(x)}, {len(g)}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "g", g)
+        fields = self.__dict__
+        fields["a"] = a
+        fields["x"] = x
+        fields["g"] = g
 
     @property
     def depth(self) -> int:
@@ -154,18 +167,30 @@ class PointPrefix:
     @property
     def in_domain(self) -> bool:
         """All offsets within the codec domain: g(k) in [0, a(k) + 1]."""
-        return all(0 <= gk <= ak + 1 for ak, gk in zip(self.a, self.g))
+        for ak, gk in zip(self.a, self.g):
+            if not 0 <= gk <= ak + 1:
+                return False
+        return True
 
     @property
     def in_support_box(self) -> bool:
         """All offsets within the support box: g(k) in [0, a(k)]."""
-        return all(0 <= gk <= ak for ak, gk in zip(self.a, self.g))
+        for ak, gk in zip(self.a, self.g):
+            if not 0 <= gk <= ak:
+                return False
+        return True
 
 
 def encode_point(p: PointPrefix) -> tuple[int, ...]:
     """Coordinatewise encode.  For fixed sizes and bits this is a translation:
-    encode_point(a, x, g) = encode_point(a, x, 0) + g coordinatewise."""
-    return tuple(encode(ak, xk, gk) for ak, xk, gk in zip(p.a, p.x, p.g))
+    encode_point(a, x, g) = encode_point(a, x, 0) + g coordinatewise.
+
+    The constructor of `p` has checked every size and bit, so the codec
+    formula is evaluated directly.
+    """
+    return tuple(
+        [(n - 1) * (n + 4) + b * (n + 2) + z for n, b, z in zip(p.a, p.x, p.g)]
+    )
 
 
 def decode_point(s: Sequence[int]) -> PointPrefix:

@@ -21,8 +21,8 @@ on the pairs compared and reports exhaustion instead of running away.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .codec import PointPrefix, decode_point, encode_point
@@ -34,6 +34,7 @@ from .report import (
     VerificationReport,
     check_budget,
 )
+from .serialization import parse_json
 
 __all__ = [
     "GraphDataParseError",
@@ -91,7 +92,8 @@ class EncodedSet:
 
     Points are tuples of nonnegative codes; the constructor checks only
     that structure, so sets loaded from raw point lists (not just built
-    from graph data) are representable.
+    from graph data) are representable.  The close-pair sweep both
+    checkers read is computed once per set.
     """
 
     depth: int
@@ -120,6 +122,25 @@ class EncodedSet:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _sweep(self) -> tuple[list[tuple[int, int]], int]:
+        """`_close_pairs` of the points with no budget."""
+        return _close_pairs(self.points)
+
+
+def _trusted_encoded_set(depth: int, points: tuple[tuple[int, ...], ...]) -> EncodedSet:
+    """Wrap points that are already in canonical form.
+
+    The caller guarantees sorted, distinct tuples of `depth` nonnegative
+    integer codes.  Skips `__post_init__`; the result is indistinguishable
+    from EncodedSet(depth, points) under ==, hash and repr.
+    """
+    es = object.__new__(EncodedSet)
+    fields = es.__dict__
+    fields["depth"] = depth
+    fields["points"] = points
+    return es
 
 
 def build_encoded_set(
@@ -162,7 +183,9 @@ def build_encoded_set(
                 f"{names[i]} repeats the argument (a, x) of {names[seen[arg]]}"
             )
         seen[arg] = i
-    return EncodedSet(depth, tuple(gd.encoded() for gd in data))
+    # The data share one depth and their offsets lie in the codec domain,
+    # where encoding is injective, so distinct arguments give distinct points.
+    return _trusted_encoded_set(depth, tuple(sorted([gd.encoded() for gd in data])))
 
 
 def _close_pairs(
@@ -188,7 +211,10 @@ def _close_pairs(
             compared += 1
             if budget is not None and compared > budget:
                 return None, compared
-            if all(-1 <= pv - qv <= 1 for pv, qv in zip(p, q)):
+            for pv, qv in zip(p, q):
+                if not -1 <= pv - qv <= 1:
+                    break
+            else:
                 close.append((i, j))
     return close, compared
 
@@ -204,7 +230,7 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
     appear at such a coordinate, and the pair is a counterexample.  Only
     the close pairs are decoded; every other pair counts as decided.
     """
-    close, _ = _close_pairs(es.points)
+    close, _ = es._sweep
     undecidable = []
     failure = None
     for i, j in close:
@@ -250,12 +276,17 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
     lower corner tuple(-min(p_k, q_k)) over the close pairs; its hits are
     the points it maps into the cube.  `budget` caps the pairs compared,
     reported as `nodes_visited`; past it the result is budget-exceeded.
-    The translate search this replaces is kept as the independent oracle
-    `acceptance._coinflip_search_oracle`.
+    A budget of at least n(n - 1)/2, more than any sweep compares, reads
+    the set's own sweep.  The translate search this replaces is kept as
+    the independent oracle `acceptance._coinflip_search_oracle`.
     """
     check_budget(budget)
     points = es.points
-    close, compared = _close_pairs(points, budget)
+    n = es.size
+    if budget >= n * (n - 1) // 2:
+        close, compared = es._sweep
+    else:
+        close, compared = _close_pairs(points, budget)
     parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}
     if not close:  # no close pair, or None: the budget ran out first
         return VerificationReport(
@@ -284,7 +315,8 @@ def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
 
     Each nonblank line must be an object with integer-list fields "a", "x",
     and "g".  Errors carry the 1-based line number of the offending line;
-    syntax and shape problems raise `GraphDataParseError`, value-level
+    syntax and shape problems (a repeated key and an integer literal too
+    long to convert among them) raise `GraphDataParseError`, value-level
     problems a plain `ValueError`.
     """
     out = []
@@ -292,8 +324,8 @@ def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+            raw = parse_json(line)
+        except ValueError as exc:
             raise GraphDataParseError(
                 f"line {lineno}: invalid JSON: {exc}"
             ) from exc
@@ -306,17 +338,22 @@ def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
     return out
 
 
+_DATUM_FIELDS = ("a", "x", "g")
+_DATUM_KEYS = frozenset(_DATUM_FIELDS)
+
+
 def graph_datum_from_dict(d: dict) -> GraphDatum:
+    """Parse a graph datum: JSON types here, values in `GraphDatum`."""
     if not isinstance(d, dict):
         raise GraphDataParseError(f"expected an object, got {d!r}")
-    missing = [key for key in ("a", "x", "g") if key not in d]
-    if missing:
-        raise GraphDataParseError(f"missing fields: {', '.join(missing)}")
-    extra = sorted(set(d) - {"a", "x", "g"})
-    if extra:
+    if d.keys() != _DATUM_KEYS:
+        missing = [key for key in _DATUM_FIELDS if key not in d]
+        if missing:
+            raise GraphDataParseError(f"missing fields: {', '.join(missing)}")
+        extra = sorted(set(d) - _DATUM_KEYS)
         raise GraphDataParseError(f"unknown fields: {', '.join(extra)}")
     fields = []
-    for key in ("a", "x", "g"):
+    for key in _DATUM_FIELDS:
         value = d[key]
         if not isinstance(value, list):
             raise GraphDataParseError(f'field "{key}" must be a list, got {value!r}')

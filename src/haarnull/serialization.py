@@ -2,13 +2,14 @@
 
 Rationals travel as "p/q" strings so every value survives a round trip
 exactly.  Integers are accepted on input wherever a rational is expected.
-Parsing is strict: integer fields must be JSON integers (no floats,
-booleans or strings), support points must be canonical decimal keys, and
-every malformed shape raises `ValueError`.
+Parsing is strict: no JSON object may repeat a key, integer fields must be
+JSON integers (no floats, booleans or strings), support points must be
+canonical decimal keys, and every malformed shape raises `ValueError`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any
 
@@ -22,6 +23,7 @@ from .measures import (
 )
 
 __all__ = [
+    "parse_json",
     "fraction_to_str",
     "fraction_from_str",
     "jsonify",
@@ -32,6 +34,37 @@ __all__ = [
     "cylinder_to_dict",
     "cylinder_from_dict",
 ]
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of JSON (key, value) pairs; a repeated key raises."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def parse_json(text: str) -> Any:
+    """`json.loads` for every JSON input, except that an object repeating a
+    key raises `ValueError`.
+
+    Syntax errors raise `json.JSONDecodeError` with the messages of
+    `json.loads`; an integer literal longer than the interpreter's limit on
+    integer digits raises a plain `ValueError`, as it does there.
+    """
+    # json.loads makes this test before it decodes; the decoder does not.
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+        )
+    return _STRICT_DECODER.decode(text)
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -52,8 +85,23 @@ def fraction_from_str(text) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
+# Types that jsonify returns as they are.  Testing `type(obj)` against them
+# first skips `isinstance(obj, Fraction)`, which goes through the ABC
+# machinery of the numeric tower and costs ten times as much.
+_PLAIN = frozenset({int, str, bool, float, type(None)})
+
+
 def jsonify(obj: Any) -> Any:
     """Recursively convert Fractions to "p/q" strings and tuples to lists."""
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    if cls is list or cls is tuple:
+        return [v if type(v) in _PLAIN else jsonify(v) for v in obj]
+    if cls is dict:
+        return {
+            str(k): v if type(v) in _PLAIN else jsonify(v) for k, v in obj.items()
+        }
     if isinstance(obj, Fraction):
         return fraction_to_str(obj)
     if isinstance(obj, dict):

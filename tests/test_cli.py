@@ -528,6 +528,65 @@ class TestStrictInput:
         assert err.startswith("error:")
         assert "line 3:" in err
 
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (
+                ["eset", "build", "{data}"],
+                {"data": GOOD_DATA + '{"a": [1], "x": [0], "g": [0], "a": [2]}\n'},
+                "error: line 3: invalid JSON: duplicate key 'a'",
+            ),
+            (
+                ["eset", "gap", "{data}", "--encoded"],
+                {"data": '{"depth": 1, "points": [[0]], "depth": 1}'},
+                "error: invalid JSON: duplicate key 'depth'",
+            ),
+            (
+                ["witness", "synth", "{spec}"],
+                {"spec": '{"prefix": [{"weights": {"0": "1/2", "0": "1/2"}}]}'},
+                "error: invalid JSON: duplicate key '0'",
+            ),
+            (
+                ["witness", "check-prefix", "{witness}", "{cylinder}"],
+                {
+                    "witness": '{"witness": [1], "witness": [2]}',
+                    "cylinder": CYLINDER_OK,
+                },
+                "error: invalid JSON: duplicate key 'witness'",
+            ),
+        ],
+        ids=["graph-data", "encoded-set", "spec", "witness"],
+    )
+    def test_repeated_keys_rejected(self, capsys, tmp_path, argv, files, message):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("command", ["gap", "coinflip", "build"])
+    def test_over_long_integers_are_parse_errors(self, capsys, tmp_path, command):
+        huge = "1" * 5000  # past the interpreter's limit on integer digits
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_DATA + '{"a": [' + huge + '], "x": [0], "g": [0]}\n')
+        code, out, err = run(capsys, "eset", command, str(data))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: invalid JSON: Exceeds the limit")
+        encoded = tmp_path / "set.json"
+        encoded.write_text('{"depth": 1, "points": [[' + huge + "]]}")
+        code, out, err = run(capsys, "eset", command, str(encoded), "--encoded")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+    def test_over_long_integer_in_a_spec_is_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        huge = "9" * 5000
+        path.write_text('{"prefix": [], "tail": {"kind": "uniform", "k": ' + huge + "}}")
+        code, out, err = run(capsys, "witness", "synth", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: Exceeds the limit")
+
     def test_encoded_set_bad_values_stay_dataset_errors(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"depth": 1, "points": [[-1]]}))

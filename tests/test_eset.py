@@ -2,14 +2,23 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull import eset
 from haarnull.acceptance import _coinflip_search_oracle
-from haarnull.codec import PointPrefix, decode_point, encode_point
+from haarnull.codec import (
+    PointPrefix,
+    _check_bit,
+    _check_offset,
+    _check_size,
+    decode_point,
+    encode_point,
+)
 from haarnull.eset import (
     EncodedSet,
     GraphDataParseError,
@@ -80,6 +89,78 @@ BOUNDARY_CONTROL = [
 ]
 
 
+class Code(int):
+    """An int subclass, as a caller's own integer type may be."""
+
+
+# Sizes 0-3, bits 0-2 and offsets -1 to 5 cover size 0, bit 2, negative and
+# out-of-domain offsets, and offsets at the a + 1 boundary.
+datum_entries = (
+    st.integers(-1, 5)
+    | st.sampled_from([True, False, 1.0, 1.5, "0", None])
+    | st.integers(0, 2).map(Code)
+)
+
+
+def outcome(parse, *args):
+    """What a parse returns, or the exact type and message it raises."""
+    try:
+        gd = parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(gd), gd.a, gd.x, gd.g
+
+
+def reference_graph_datum(a, x, g):
+    """The datum constructor with every entry checked by its checker, as it
+    was before the checks went inline: the reference for `GraphDatum`."""
+    a = tuple(_check_size(v) for v in a)
+    x = tuple(_check_bit(v) for v in x)
+    g = tuple(_check_offset(v) for v in g)
+    if not (len(a) == len(x) == len(g)):
+        raise ValueError(f"component lengths differ: {len(a)}, {len(x)}, {len(g)}")
+    if not all(0 <= gk <= ak + 1 for ak, gk in zip(a, g)):
+        raise ValueError(f"offsets {g} leave the codec domain for sizes {a}")
+    return GraphDatum(a, x, g)
+
+
+def reference_graph_datum_from_dict(d):
+    """The parser as it was before the key test was folded into one set
+    comparison: the reference for `graph_datum_from_dict`."""
+    if not isinstance(d, dict):
+        raise GraphDataParseError(f"expected an object, got {d!r}")
+    missing = [key for key in ("a", "x", "g") if key not in d]
+    if missing:
+        raise GraphDataParseError(f"missing fields: {', '.join(missing)}")
+    extra = sorted(set(d) - {"a", "x", "g"})
+    if extra:
+        raise GraphDataParseError(f"unknown fields: {', '.join(extra)}")
+    fields = []
+    for key in ("a", "x", "g"):
+        value = d[key]
+        if not isinstance(value, list):
+            raise GraphDataParseError(f'field "{key}" must be a list, got {value!r}')
+        for v in value:
+            if type(v) is not int:
+                raise GraphDataParseError(
+                    f'field "{key}" entries must be integers, got {v!r}'
+                )
+        fields.append(tuple(value))
+    return reference_graph_datum(*fields)
+
+
+# Parsed JSON: integer entries, the other JSON scalars, and non-list fields.
+json_entries = st.integers(-1, 5) | st.sampled_from([True, 1.0, 1.5, "0", None])
+datum_dicts = st.dictionaries(
+    st.sampled_from(["a", "x", "g", "b", "z"]),
+    st.lists(json_entries, max_size=3) | json_entries,
+    max_size=5,
+) | st.builds(
+    lambda a, x, g: {"a": a, "x": x, "g": g},
+    *[st.lists(st.integers(-1, 5), min_size=1, max_size=3)] * 3,
+)
+
+
 class TestGraphDatum:
     def test_valid(self):
         gd = GraphDatum((1, 2), (0, 1), (1, 3))
@@ -121,6 +202,14 @@ class TestGraphDatum:
         message = r"^offsets \(0, 4\) leave the codec domain for sizes \(1, 2\)$"
         with pytest.raises(ValueError, match=message):
             GraphDatum([1, 2], [0, 1], [0, 4])
+
+    @settings(max_examples=300)
+    @given(
+        st.tuples(*[st.lists(datum_entries, max_size=3)] * 3)
+        | st.tuples(*[st.lists(datum_entries, max_size=3).map(tuple)] * 3)
+    )
+    def test_matches_the_reference_checks(self, fields):
+        assert outcome(GraphDatum, *fields) == outcome(reference_graph_datum, *fields)
 
 
 class TestEncodedSet:
@@ -174,6 +263,29 @@ class TestBuild:
             build_encoded_set(BOUNDARY_CONTROL)
         es = build_encoded_set(BOUNDARY_CONTROL, allow_boundary=True)
         assert es.points == ((2,), (3,))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        graph_datasets(max_depth=4, max_size=6, max_data=12).map(lambda d: (d, False))
+        | boundary_datasets().map(lambda d: (d, True))
+    )
+    def test_equals_the_checked_constructor(self, case):
+        data, allow_boundary = case
+        es = build_encoded_set(data, allow_boundary=allow_boundary)
+        checked = EncodedSet(data[0].depth, tuple(gd.encoded() for gd in data))
+        assert es == checked
+        assert hash(es) == hash(checked)
+        assert repr(es) == repr(checked)
+        assert es.size == len(data)  # distinct arguments give distinct points
+
+    def test_trusted_builder_stays_in_eset(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "haarnull"
+        users = {
+            path.name
+            for path in package.glob("*.py")
+            if "_trusted_encoded_set" in path.read_text()
+        }
+        assert users == {"eset.py"}
 
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
@@ -364,6 +476,33 @@ class TestCoinflipBound:
         assert report.status == PASS
         assert report.parameters["nodes_visited"] == 1
 
+    @settings(deadline=None, max_examples=60)
+    @given(arbitrary_encoded_sets(max_depth=3, max_points=7) | small_encoded_sets)
+    def test_cached_sweep_gives_the_budgeted_report(self, es):
+        n = es.size
+        expected = [uncached_coinflip(es, b) for b in range(1, n * (n - 1) // 2 + 2)]
+        fresh = EncodedSet(es.depth, es.points)
+        swept = EncodedSet(es.depth, es.points)
+        check_pairwise_gap(swept)
+        for budget, report in enumerate(expected, start=1):
+            assert coinflip_bound(fresh, budget).to_json() == report.to_json()
+            assert coinflip_bound(swept, budget).to_json() == report.to_json()
+
+    def test_both_checkers_share_one_sweep(self, monkeypatch):
+        calls = []
+        sweep = eset._close_pairs
+        monkeypatch.setattr(
+            eset, "_close_pairs", lambda *args: calls.append(args) or sweep(*args)
+        )
+        es = EncodedSet(1, ((0,), (1,), (4,)))
+        check_pairwise_gap(es)
+        coinflip_bound(es)
+        coinflip_bound(es, budget=3)
+        assert calls == [(es.points,)]
+        # a budget below n(n - 1)/2 = 3 runs its own budgeted sweep
+        coinflip_bound(es, budget=2)
+        assert calls == [(es.points,), (es.points, 2)]
+
     @settings(deadline=None, max_examples=80)
     @given(small_encoded_sets, st.integers(1, 40))
     def test_matches_the_recursive_search(self, es, budget):
@@ -378,6 +517,32 @@ class TestCoinflipBound:
     @given(small_encoded_sets, st.integers(1, 40))
     def test_search_oracle_matches_the_recursive_search(self, es, budget):
         assert _coinflip_search_oracle(es, budget) == recursive_coinflip(es, budget)
+
+
+def uncached_coinflip(es, budget):
+    """The coin-flip report from a budgeted `_close_pairs` call of its own:
+    the reference for the sweep an `EncodedSet` keeps."""
+    close, compared = eset._close_pairs(es.points, budget)
+    parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}
+    if not close:
+        status = BUDGET_EXCEEDED if close is None else PASS
+        return VerificationReport(
+            "coinflip-bound", status, es.depth, parameters=parameters
+        )
+    r = min(
+        tuple(-min(pv, qv) for pv, qv in zip(es.points[i], es.points[j]))
+        for i, j in close
+    )
+    hits = [p for p in es.points if all(0 <= pv + rk <= 1 for pv, rk in zip(p, r))]
+    return VerificationReport(
+        "coinflip-bound",
+        FAIL,
+        es.depth,
+        lhs=len(hits),
+        rhs=1,
+        counterexample={"r": r, "hits": hits},
+        parameters=parameters,
+    )
 
 
 def recursive_coinflip(es, budget):
@@ -484,6 +649,13 @@ class TestSerializationHelpers:
         with pytest.raises(GraphDataParseError, match=f'field "{key}"'):
             graph_datum_from_dict(raw)
 
+    @settings(max_examples=400)
+    @given(datum_dicts | json_entries | st.lists(json_entries, max_size=2))
+    def test_from_dict_matches_the_reference(self, d):
+        assert outcome(graph_datum_from_dict, d) == outcome(
+            reference_graph_datum_from_dict, d
+        )
+
     def test_from_dict_value_errors_are_plain(self):
         with pytest.raises(ValueError) as info:
             graph_datum_from_dict({"a": [1], "x": [0], "g": [5]})
@@ -541,3 +713,28 @@ class TestLoadGraphData:
         with pytest.raises(ValueError, match="line 1") as info:
             load_graph_data(['{"a": [1], "x": [0], "g": [9]}'])
         assert not isinstance(info.value, GraphDataParseError)
+
+    def test_repeated_key_is_a_parse_error(self):
+        lines = [
+            '{"a": [1], "x": [0], "g": [0]}',
+            '{"a": [1], "x": [1], "g": [0], "a": [2]}',
+        ]
+        with pytest.raises(GraphDataParseError) as info:
+            load_graph_data(lines)
+        assert str(info.value) == "line 2: invalid JSON: duplicate key 'a'"
+
+    def test_over_long_integer_is_a_parse_error(self):
+        lines = [
+            '{"a": [1], "x": [0], "g": [0]}',
+            '{"a": [' + "1" * 5000 + '], "x": [0], "g": [0]}',
+        ]
+        message = "^line 2: invalid JSON: Exceeds the limit"
+        with pytest.raises(GraphDataParseError, match=message):
+            load_graph_data(lines)
+
+    def test_bom_message_is_that_of_json_loads(self):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads("\ufeff{}")
+        with pytest.raises(GraphDataParseError) as info:
+            load_graph_data(["\ufeff{}"])
+        assert str(info.value) == f"line 1: invalid JSON: {expected.value}"

@@ -24,12 +24,34 @@ from haarnull.serialization import (
     jsonify,
     measure_from_dict,
     measure_to_dict,
+    parse_json,
     spec_from_dict,
     spec_to_dict,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=1000
+)
+
+
+class Code(int):
+    """An int subclass, as a caller's own integer type may be."""
+
+
+_leaves = (
+    st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+    | rationals
+    | st.integers(-5, 5).map(Code)
+)
+jsonify_inputs = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.integers(-3, 3) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
 )
 
 
@@ -59,6 +81,74 @@ class TestJsonify:
     def test_json_dumpable(self):
         payload = jsonify({"vals": [Fraction(1, 7)] * 2})
         assert json.dumps(payload) == '{"vals": ["1/7", "1/7"]}'
+
+    @given(jsonify_inputs)
+    def test_matches_the_isinstance_reference(self, obj):
+        assert typed(jsonify(obj)) == typed(isinstance_jsonify(obj))
+
+
+def isinstance_jsonify(obj):
+    """jsonify written with isinstance tests alone: the reference for the
+    dispatch on exact types."""
+    if isinstance(obj, Fraction):
+        return fraction_to_str(obj)
+    if isinstance(obj, dict):
+        return {str(k): isinstance_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_jsonify(v) for v in obj]
+    return obj
+
+
+def typed(obj):
+    """obj with each leaf paired with its exact type, so that 1, True and
+    an int subclass with value 1 compare unequal."""
+    if type(obj) is dict:
+        return ("dict", {k: typed(v) for k, v in obj.items()})
+    if type(obj) is list:
+        return ("list", [typed(v) for v in obj])
+    return (type(obj), obj)
+
+
+class TestParseJson:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 1, "a": 2}',
+            '[{"k": {"z": 0, "z": 0}}]',
+            '{"weights": {"0": "1/2", "0": "1/2"}}',
+        ],
+    )
+    def test_repeated_keys_rejected_at_any_depth(self, text):
+        json.loads(text)  # the plain parser keeps the last value
+        with pytest.raises(ValueError, match="^duplicate key "):
+            parse_json(text)
+
+    @pytest.mark.parametrize(
+        "text", ["\ufeff{}", "{nope", "", "[1,]", '{"a": 1} x', "NaN x"]
+    )
+    def test_syntax_errors_read_as_in_json_loads(self, text):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            parse_json(text)
+        assert str(got.value) == str(expected.value)
+
+    def test_over_long_integer_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="Exceeds the limit") as info:
+            parse_json("[" + "7" * 5000 + "]")
+        assert not isinstance(info.value, json.JSONDecodeError)
+
+    @given(
+        st.recursive(
+            st.integers() | st.booleans() | st.none() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_agrees_with_json_loads(self, value):
+        text = json.dumps(value)
+        assert parse_json(text) == json.loads(text)
 
 
 class TestMeasureDicts:
