@@ -18,6 +18,7 @@ from .codec import (
     separation_gap,
 )
 from .eset import (
+    DatasetError,
     EncodedSet,
     GraphDataParseError,
     GraphDatum,
@@ -65,6 +66,7 @@ __all__ = [
     "CodedTriple",
     "CylinderSet",
     "DEFICIENCY_LOWER_BOUND",
+    "DatasetError",
     "EncodedSet",
     "FAIL",
     "FiniteMeasureZ",

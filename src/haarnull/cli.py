@@ -8,10 +8,15 @@ Three command families mirror the library layout:
 
 Every leaf command takes --output {text,json}.  JSON output is purely a
 function of the arguments, the seed, and the input files (no timestamps,
-keys sorted), so reruns are byte-identical.  Exit codes: 0 for a passing
-run, 1 for a verified failure, a budget-exceeded check, or a dataset
-invariant violation (offending line numbers are reported), 2 for usage,
-syntax, or shape errors.
+keys sorted), so reruns are byte-identical.  Each command returns its exit
+code and its whole output, and `main` writes that output in one piece, so
+a command that fails writes nothing to stdout.  `main` also picks every
+failure's exit code from the exception type: 1 for a `DatasetError` (a
+dataset invariant violation, with the offending line numbers) and for an
+`UnsupportedDepthError`; 2 for any other `ValueError` or an `OSError`:
+usage, syntax or shape errors, input that is not UTF-8, and output
+integers too long for Python to print.  A passing run exits 0, and a
+verified failure or a budget-exceeded check exits 1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from typing import Optional, Sequence
 from .acceptance import codec_roundtrip_scan, restrict_normalize_instances, run_all
 from .codec import decode, encode
 from .eset import (
-    GraphDataParseError,
+    DatasetError,
+    EncodedSet,
     build_encoded_set,
     check_pairwise_gap,
     coinflip_bound,
@@ -32,7 +38,7 @@ from .eset import (
     encoded_set_to_dict,
     load_graph_data,
 )
-from .measures import ProductMeasureSpec, UnsupportedDepthError, materialize
+from .measures import UnsupportedDepthError, materialize
 from .report import DEFAULT_BUDGET, VerificationReport
 from .serialization import (
     cylinder_from_dict,
@@ -45,12 +51,24 @@ from .witness import is_witness_prefix, synthesize_witness
 
 __all__ = ["main"]
 
+Output = tuple[int, str]  # exit code, stdout text without its final newline
+
 
 def _read_text(path: str) -> str:
+    """A file, or stdin for "-", decoded as UTF-8 with universal newlines."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as `str.splitlines` numbers lines; "?" stands in for the
+        # bad byte, so a line end just before it starts a line of its own
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(f"line {line}: not valid UTF-8: {exc.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_json(path: str):
@@ -65,86 +83,75 @@ def _dump(obj) -> str:
     return json.dumps(jsonify(obj), indent=2, sort_keys=True)
 
 
-def _print_report(report: VerificationReport, output: str) -> int:
+def _render_report(report: VerificationReport, output: str) -> Output:
+    code = 0 if report.passed else 1
     if output == "json":
-        print(report.to_json())
-    else:
-        print(f"{report.claim}: {report.status}")
-        if report.counterexample is not None:
-            print(
-                "counterexample: "
-                + json.dumps(jsonify(report.counterexample), sort_keys=True)
-            )
-        if report.parameters:
-            print(
-                "parameters: "
-                + json.dumps(jsonify(report.parameters), sort_keys=True)
-            )
-    return 0 if report.passed else 1
+        return code, report.to_json()
+    lines = [f"{report.claim}: {report.status}"]
+    if report.counterexample is not None:
+        lines.append(
+            "counterexample: "
+            + json.dumps(jsonify(report.counterexample), sort_keys=True)
+        )
+    if report.parameters:
+        lines.append(
+            "parameters: " + json.dumps(jsonify(report.parameters), sort_keys=True)
+        )
+    return code, "\n".join(lines)
 
 
-def cmd_codec_encode(args) -> int:
+def cmd_codec_encode(args) -> Output:
     code = encode(args.n, args.b, args.z)
     if args.output == "json":
-        print(_dump({"n": args.n, "b": args.b, "z": args.z, "code": code}))
-    else:
-        print(code)
-    return 0
+        return 0, _dump({"n": args.n, "b": args.b, "z": args.z, "code": code})
+    return 0, str(code)
 
 
-def cmd_codec_decode(args) -> int:
+def cmd_codec_decode(args) -> Output:
     t = decode(args.code)
     if args.output == "json":
-        print(_dump({"code": args.code, "n": t.n, "b": t.b, "z": t.z}))
-    else:
-        print(f"({t.n},{t.b},{t.z})")
-    return 0
+        return 0, _dump({"code": args.code, "n": t.n, "b": t.b, "z": t.z})
+    return 0, f"({t.n},{t.b},{t.z})"
 
 
-def cmd_codec_roundtrip(args) -> int:
+def cmd_codec_roundtrip(args) -> Output:
     if args.max < 1:
         raise ValueError(f"--max must be >= 1, got {args.max}")
     triples, failure = codec_roundtrip_scan(args.max)
+    code = 0 if failure is None else 1
     status = "fail" if failure else "pass"
     if args.output == "json":
         out = {"checked_codes": args.max, "checked_triples": triples, "status": status}
         if failure:
             out["counterexample"] = failure
-        print(_dump(out))
-    else:
-        print(f"roundtrip: {status}, {args.max} codes, {triples} triples")
-        if failure:
-            print(f"counterexample: {failure}")
-    return 0 if failure is None else 1
+        return code, _dump(out)
+    lines = [f"roundtrip: {status}, {args.max} codes, {triples} triples"]
+    if failure:
+        lines.append(f"counterexample: {failure}")
+    return code, "\n".join(lines)
 
 
-def _load_spec(path: str) -> ProductMeasureSpec:
-    return spec_from_dict(_read_json(path))
-
-
-def cmd_witness_synth(args) -> int:
-    spec = _load_spec(args.spec)
+def cmd_witness_synth(args) -> Output:
+    spec = spec_from_dict(_read_json(args.spec))
     if args.depth is not None:
         spec = materialize(spec, args.depth)
     trace = synthesize_witness(spec)
     if args.output == "json":
-        print(_dump(trace.to_json_dict()))
-    else:
-        print(f"depth: {trace.depth}")
-        print(f"shifts: {list(trace.shifts)}")
-        print(f"radii: {list(trace.radii)}")
-        print(f"sizes: {list(trace.sizes)}")
-        print(f"witness: {list(trace.witness)}")
-        if trace.depth:
-            print(f"scale: {fraction_to_str(trace.scale_partial[-1])}")
-            print(
-                "deficiency: "
-                + fraction_to_str(trace.deficiency_partial[-1])
-            )
-    return 0
+        return 0, _dump(trace.to_json_dict())
+    lines = [
+        f"depth: {trace.depth}",
+        f"shifts: {list(trace.shifts)}",
+        f"radii: {list(trace.radii)}",
+        f"sizes: {list(trace.sizes)}",
+        f"witness: {list(trace.witness)}",
+    ]
+    if trace.depth:
+        lines.append(f"scale: {fraction_to_str(trace.scale_partial[-1])}")
+        lines.append(f"deficiency: {fraction_to_str(trace.deficiency_partial[-1])}")
+    return 0, "\n".join(lines)
 
 
-def cmd_witness_verify_claim(args) -> int:
+def cmd_witness_verify_claim(args) -> Output:
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
     if args.instances < 1:
@@ -156,29 +163,27 @@ def cmd_witness_verify_claim(args) -> int:
         )
         if not report.passed
     ]
+    code = 0 if not failures else 1
     passed = args.instances - len(failures)
     if args.output == "json":
-        print(
-            _dump(
-                {
-                    "claim": "restrict-and-normalize",
-                    "depth": args.depth,
-                    "seed": args.seed,
-                    "instances": args.instances,
-                    "passed": passed,
-                    "status": "pass" if not failures else "fail",
-                    "failures": failures,
-                }
-            )
+        return code, _dump(
+            {
+                "claim": "restrict-and-normalize",
+                "depth": args.depth,
+                "seed": args.seed,
+                "instances": args.instances,
+                "passed": passed,
+                "status": "pass" if not failures else "fail",
+                "failures": failures,
+            }
         )
-    else:
-        print(f"{passed}/{args.instances} pass")
-        for entry in failures:
-            print(f"instance {entry['instance']} failed: {_dump(entry['report'])}")
-    return 0 if not failures else 1
+    lines = [f"{passed}/{args.instances} pass"]
+    for entry in failures:
+        lines.append(f"instance {entry['instance']} failed: {_dump(entry['report'])}")
+    return code, "\n".join(lines)
 
 
-def cmd_witness_check_prefix(args) -> int:
+def cmd_witness_check_prefix(args) -> Output:
     raw = _read_json(args.witness)
     witness = raw.get("witness") if isinstance(raw, dict) else raw
     if not isinstance(witness, list):
@@ -188,20 +193,15 @@ def cmd_witness_check_prefix(args) -> int:
         )
     cyl = cylinder_from_dict(_read_json(args.cylinder))
     report = is_witness_prefix(tuple(witness), cyl, budget=args.budget)
-    return _print_report(report, args.output)
+    return _render_report(report, args.output)
 
 
-def _load_encoded_set(args):
+def _load_encoded_set(args) -> EncodedSet:
     if args.encoded:
-        text = _read_text(args.data)
-        try:
-            raw = parse_json(text)
-        except ValueError as exc:  # syntax, a repeated key, an over-long integer
-            raise GraphDataParseError(f"invalid JSON: {exc}") from exc
-        return encoded_set_from_dict(raw)
+        return encoded_set_from_dict(_read_json(args.data))
     pairs = load_graph_data(_read_text(args.data).splitlines())
     if not pairs:
-        raise ValueError("dataset is empty")
+        raise DatasetError("dataset is empty")
     labels = [f"line {lineno}" for lineno, _ in pairs]
     data = [gd for _, gd in pairs]
     return build_encoded_set(
@@ -209,78 +209,49 @@ def _load_encoded_set(args):
     )
 
 
-def _run_on_encoded_set(args, render) -> int:
-    """Load the input set and return render(set); bad data exit with 1.
-
-    Syntax and shape errors (`GraphDataParseError`) propagate to `main`,
-    which exits with 2.
-    """
-    try:
-        es = _load_encoded_set(args)
-    except GraphDataParseError:
-        raise
-    except ValueError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return 1
-    return render(es)
+def cmd_eset_build(args) -> Output:
+    es = _load_encoded_set(args)
+    if args.output == "json":
+        return 0, _dump(encoded_set_to_dict(es))
+    lines = [f"depth: {es.depth}", f"points: {es.size}"]
+    lines.extend(" ".join(str(v) for v in p) for p in es.points)
+    return 0, "\n".join(lines)
 
 
-def _print_encoded_set(es, output: str) -> int:
-    if output == "json":
-        print(_dump(encoded_set_to_dict(es)))
-    else:
-        print(f"depth: {es.depth}")
-        print(f"points: {es.size}")
-        for p in es.points:
-            print(" ".join(str(v) for v in p))
-    return 0
+def cmd_eset_gap(args) -> Output:
+    return _render_report(check_pairwise_gap(_load_encoded_set(args)), args.output)
 
 
-def cmd_eset_build(args) -> int:
-    return _run_on_encoded_set(args, lambda es: _print_encoded_set(es, args.output))
+def cmd_eset_coinflip(args) -> Output:
+    es = _load_encoded_set(args)
+    return _render_report(coinflip_bound(es, budget=args.budget), args.output)
 
 
-def cmd_eset_gap(args) -> int:
-    return _run_on_encoded_set(
-        args, lambda es: _print_report(check_pairwise_gap(es), args.output)
-    )
-
-
-def cmd_eset_coinflip(args) -> int:
-    return _run_on_encoded_set(
-        args,
-        lambda es: _print_report(coinflip_bound(es, budget=args.budget), args.output),
-    )
-
-
-def cmd_eset_acceptance(args) -> int:
+def cmd_eset_acceptance(args) -> Output:
     results = run_all(seed=args.seed, budget=args.budget)
     ok = all(r.passed for r in results)
+    code = 0 if ok else 1
     if args.output == "json":
-        print(
-            _dump(
-                {
-                    "seed": args.seed,
-                    "budget": args.budget,
-                    "status": "pass" if ok else "fail",
-                    "criteria": [
-                        {
-                            "key": r.key,
-                            "description": r.description,
-                            "status": "pass" if r.passed else "fail",
-                        }
-                        for r in results
-                    ],
-                }
-            )
+        return code, _dump(
+            {
+                "seed": args.seed,
+                "budget": args.budget,
+                "status": "pass" if ok else "fail",
+                "criteria": [
+                    {
+                        "key": r.key,
+                        "description": r.description,
+                        "status": "pass" if r.passed else "fail",
+                    }
+                    for r in results
+                ],
+            }
         )
-    else:
-        for r in results:
-            print(f"{r.line()} ({r.elapsed:.2f}s)")
-        total = sum(r.elapsed for r in results)
-        passed = sum(1 for r in results if r.passed)
-        print(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
-    return 0 if ok else 1
+    lines = [f"{r.line()} ({r.elapsed:.2f}s)" for r in results]
+    total = sum(r.elapsed for r in results)
+    passed = sum(1 for r in results if r.passed)
+    lines.append(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
+    return code, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,13 +369,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        code, text = args.handler(args)
+    except DatasetError as exc:
+        code, message = 1, f"dataset error: {exc}"
     except UnsupportedDepthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
+    else:
+        print(text)
+        return code
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

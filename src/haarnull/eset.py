@@ -17,6 +17,12 @@ differ by at most 1.  The coin-flip bound is then closed form: its
 lex-least counterexample is read off the close pairs.  Both checkers
 return `VerificationReport` values; the coin-flip check carries a budget
 on the pairs compared and reports exhaustion instead of running away.
+
+Input errors come in two kinds.  `GraphDataParseError` marks input not
+shaped like graph data or an encoded set; `DatasetError` marks
+well-shaped input whose values break an invariant.  Both are
+`ValueError`s; the command line exits 2 for the first and 1 for the
+second.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .report import (
 from .serialization import parse_json
 
 __all__ = [
+    "DatasetError",
     "GraphDataParseError",
     "GraphDatum",
     "EncodedSet",
@@ -44,7 +51,6 @@ __all__ = [
     "check_pairwise_gap",
     "coinflip_bound",
     "load_graph_data",
-    "graph_datum_to_dict",
     "graph_datum_from_dict",
     "encoded_set_to_dict",
     "encoded_set_from_dict",
@@ -56,10 +62,20 @@ class GraphDataParseError(ValueError):
     """Input that is not even shaped like a graph datum or an encoded set.
 
     Raised for JSON syntax errors, wrong-shape objects and entries that are
-    not JSON integers.  Violations of value-level constraints (offsets out
-    of domain, repeated arguments, mixed depths) stay plain `ValueError`s
-    so callers can tell ill-formed files apart from well-formed files with
-    bad data.
+    not JSON integers.  The command line treats it like any other
+    `ValueError` (exit code 2); only `DatasetError` sets a file apart as
+    well-formed but with bad data.
+    """
+
+
+class DatasetError(ValueError):
+    """Well-formed graph data or an encoded set whose values break an invariant.
+
+    Raised for an offset outside the codec domain, a size below 1 or a bit
+    outside {0, 1} (with the line number, from `load_graph_data`); for no
+    data, mixed depths, boundary offsets and repeated arguments (a, x)
+    (from `build_encoded_set`); and for negative depths or codes and
+    points of the wrong length (from `encoded_set_from_dict`).
     """
 
 
@@ -81,9 +97,6 @@ class GraphDatum(PointPrefix):
             raise ValueError(
                 f"offsets {self.g} leave the codec domain for sizes {self.a}"
             )
-
-    def encoded(self) -> tuple[int, ...]:
-        return encode_point(self)
 
 
 @dataclass(frozen=True)
@@ -154,10 +167,10 @@ def build_encoded_set(
     arguments (two values for one argument is not a graph).  Offsets must
     stay inside the support box unless `allow_boundary` is set.  `labels`
     customizes how data are named in error messages; the default is their
-    1-based position.
+    1-based position.  A violation raises `DatasetError`.
     """
     if not data:
-        raise ValueError("cannot build an encoded set from no data")
+        raise DatasetError("cannot build an encoded set from no data")
     names = (
         list(labels)
         if labels is not None
@@ -169,23 +182,23 @@ def build_encoded_set(
     seen: dict[tuple, int] = {}
     for i, gd in enumerate(data):
         if gd.depth != depth:
-            raise ValueError(
+            raise DatasetError(
                 f"{names[i]} has depth {gd.depth}, expected {depth}"
             )
         if not allow_boundary and not gd.in_support_box:
-            raise ValueError(
+            raise DatasetError(
                 f"{names[i]} has an offset at a size + 1 boundary; "
                 "boundary offsets must be allowed explicitly"
             )
         arg = (gd.a, gd.x)
         if arg in seen:
-            raise ValueError(
+            raise DatasetError(
                 f"{names[i]} repeats the argument (a, x) of {names[seen[arg]]}"
             )
         seen[arg] = i
     # The data share one depth and their offsets lie in the codec domain,
     # where encoding is injective, so distinct arguments give distinct points.
-    return _trusted_encoded_set(depth, tuple(sorted([gd.encoded() for gd in data])))
+    return _trusted_encoded_set(depth, tuple(sorted([encode_point(gd) for gd in data])))
 
 
 def _close_pairs(
@@ -317,7 +330,7 @@ def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
     and "g".  Errors carry the 1-based line number of the offending line;
     syntax and shape problems (a repeated key and an integer literal too
     long to convert among them) raise `GraphDataParseError`, value-level
-    problems a plain `ValueError`.
+    problems `DatasetError`.
     """
     out = []
     for lineno, line in enumerate(lines, start=1):
@@ -334,7 +347,7 @@ def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
         except GraphDataParseError as exc:
             raise GraphDataParseError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise DatasetError(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -366,16 +379,16 @@ def graph_datum_from_dict(d: dict) -> GraphDatum:
     return GraphDatum(*fields)
 
 
-def graph_datum_to_dict(gd: GraphDatum) -> dict:
-    return {"a": list(gd.a), "x": list(gd.x), "g": list(gd.g)}
-
-
 def encoded_set_to_dict(es: EncodedSet) -> dict:
     return {"depth": es.depth, "points": [list(p) for p in es.points]}
 
 
 def encoded_set_from_dict(d: dict) -> EncodedSet:
-    """Parse an encoded set; shape errors raise `GraphDataParseError`."""
+    """Parse an encoded set.
+
+    Shape errors raise `GraphDataParseError`, and values that `EncodedSet`
+    rejects raise `DatasetError`.
+    """
     if not isinstance(d, dict) or set(d) != {"depth", "points"}:
         raise GraphDataParseError(
             'expected an object with fields "depth" and "points"'
@@ -390,4 +403,7 @@ def encoded_set_from_dict(d: dict) -> EncodedSet:
         for v in p:
             if type(v) is not int:
                 raise GraphDataParseError(f"codes must be integers, got {v!r}")
-    return EncodedSet(depth, tuple(tuple(p) for p in points))
+    try:
+        return EncodedSet(depth, tuple(tuple(p) for p in points))
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from exc

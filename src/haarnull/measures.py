@@ -334,9 +334,6 @@ class CylinderSet:
     def size(self) -> int:
         return len(self.prefixes)
 
-    def translate(self, x: Sequence[int]) -> "CylinderSet":
-        return translate_set(self, x)
-
     def union(self, other: "CylinderSet") -> "CylinderSet":
         self._check_same_depth(other)
         return CylinderSet(self.depth, self.prefixes + other.prefixes)

@@ -596,6 +596,180 @@ class TestStrictInput:
         assert err.startswith("dataset error:")
 
 
+NOT_UTF8 = b'{"a": [1], "x": [0], "g": [1]}\n{"a": [1], "x": [\xe90], "g": [0]}\n'
+HUGE_SIZE = 10**4000  # its codes have about 8000 digits, past the print limit
+
+
+class TestExitCodes:
+    """`main` picks the exit code from the exception type alone."""
+
+    @pytest.mark.parametrize(
+        "argv, files, code, prefix",
+        [
+            (
+                ["eset", "gap", "{data}"],
+                {"data": BOUNDARY_DATA},
+                1,
+                "dataset error: line 1 has an offset at a size + 1 boundary",
+            ),
+            (
+                ["eset", "build", "{data}"],
+                {"data": GOOD_DATA + '{"a": [1], "x": [0], "g": [9]}\n'},
+                1,
+                "dataset error: line 3: offsets (9,) leave the codec domain",
+            ),
+            (
+                ["eset", "build", "{data}", "--encoded"],
+                {"data": json.dumps({"depth": 1, "points": [[-1]]})},
+                1,
+                "dataset error: code must be >= 0",
+            ),
+            (
+                ["eset", "coinflip", "{data}"],
+                {"data": "\n"},
+                1,
+                "dataset error: dataset is empty",
+            ),
+            (
+                ["witness", "synth", "{spec}", "--depth", "3"],
+                {"spec": json.dumps(SPEC_JSON)},
+                1,
+                "error: coordinate 1 lies beyond prefix depth 1",
+            ),
+            (
+                ["eset", "gap", "{data}"],
+                {"data": "nope\n"},
+                2,
+                "error: line 1: invalid JSON: Expecting value",
+            ),
+            (
+                ["eset", "gap", "{data}", "--encoded"],
+                {"data": "[1, 2]"},
+                2,
+                'error: expected an object with fields "depth" and "points"',
+            ),
+            (
+                ["witness", "synth", "{spec}"],
+                {"spec": spec_with(prefix=5)},
+                2,
+                "error: 'prefix' must be a list, got 5",
+            ),
+            (["eset", "gap", "{missing}"], {}, 2, "error: [Errno 2]"),
+            (
+                ["eset", "coinflip", "{data}", "--budget", "0"],
+                {"data": GOOD_DATA},
+                2,
+                "error: budget must be >= 1, got 0",
+            ),
+            (
+                ["eset", "build", "{data}"],
+                {"data": NOT_UTF8},
+                2,
+                "error: line 2: not valid UTF-8: invalid continuation byte",
+            ),
+            (
+                ["eset", "gap", "{data}", "--encoded"],
+                {"data": b'{"depth": 1,\r\n"points": [[\xe9]]}'},
+                2,
+                "error: line 2: not valid UTF-8: invalid continuation byte",
+            ),
+            (
+                ["witness", "check-prefix", "{witness}", "{cylinder}"],
+                {"witness": WITNESS_OK, "cylinder": b"\xe9"},
+                2,
+                "error: line 1: not valid UTF-8: unexpected end of data",
+            ),
+        ],
+        ids=[
+            "graph-data-boundary",
+            "graph-data-bad-offset",
+            "encoded-dataset-error",
+            "empty-dataset",
+            "unsupported-depth",
+            "syntax-error",
+            "encoded-shape-error",
+            "spec-shape-error",
+            "missing-file",
+            "budget-zero",
+            "graph-data-not-utf8",
+            "encoded-not-utf8",
+            "cylinder-not-utf8",
+        ],
+    )
+    def test_table(self, capsys, tmp_path, argv, files, code, prefix):
+        paths = {"missing": tmp_path / "missing.json"}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            if isinstance(content, bytes):
+                paths[name].write_bytes(content)
+            else:
+                paths[name].write_text(content)
+        got_code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (got_code, out) == (code, "")
+        assert err.startswith(prefix), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_unprintable_build_output_writes_nothing(self, capsys, tmp_path, output):
+        data = tmp_path / "data.jsonl"
+        data.write_text(
+            "".join(
+                json.dumps({"a": [HUGE_SIZE], "x": [x], "g": [0]}) + "\n"
+                for x in (0, 1)
+            )
+        )
+        code, out, err = run(capsys, "eset", "build", str(data), "--output", output)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+        code, out, _ = run(capsys, "eset", "gap", str(data))  # prints no code
+        assert code == 0 and out.startswith("pairwise-gap: pass\n")
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_unprintable_code_writes_nothing(self, capsys, output):
+        argv = ("codec", "encode", str(HUGE_SIZE), "0", "0", "--output", output)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+
+
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def run_module(argv, stdin: bytes):
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarnull.cli", *argv],
+        input=stdin,
+        env=subprocess_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+class TestStdinBytes:
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_crlf_matches_the_lf_file(self, capsys, tmp_path, output):
+        data = tmp_path / "data.jsonl"
+        data.write_text(BOUNDARY_DATA)
+        argv = ["eset", "gap", "-", "--allow-boundary", "--output", output]
+        expected = run(capsys, *argv[:2], str(data), *argv[3:])
+        assert expected[0] == 1 and expected[1]
+        crlf = BOUNDARY_DATA.replace("\n", "\r\n").encode()
+        assert run_module(argv, crlf) == expected
+
+    def test_not_utf8_exits_2_with_the_line(self):
+        assert run_module(["eset", "gap", "-"], NOT_UTF8) == (
+            2,
+            "",
+            "error: line 2: not valid UTF-8: invalid continuation byte\n",
+        )
+
+
 class TestAcceptanceCommand:
     def test_full_battery(self, capsys, monkeypatch, battery):
         def reuse_session_battery(seed, budget):
@@ -651,13 +825,9 @@ def test_bench_selftest_runs():
 
 
 def test_witness_demo_script_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "witness_demo.py")],
-        env=env,
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=300,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haarnull
 from haarnull import eset
 from haarnull.acceptance import _coinflip_search_oracle
 from haarnull.codec import (
@@ -20,6 +21,7 @@ from haarnull.codec import (
     encode_point,
 )
 from haarnull.eset import (
+    DatasetError,
     EncodedSet,
     GraphDataParseError,
     GraphDatum,
@@ -29,7 +31,6 @@ from haarnull.eset import (
     encoded_set_from_dict,
     encoded_set_to_dict,
     graph_datum_from_dict,
-    graph_datum_to_dict,
     load_graph_data,
 )
 from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
@@ -165,7 +166,7 @@ class TestGraphDatum:
     def test_valid(self):
         gd = GraphDatum((1, 2), (0, 1), (1, 3))
         assert gd.depth == 2
-        assert gd.encoded() == (1, 13)
+        assert encode_point(gd) == (1, 13)
 
     def test_boundary_offset_in_domain_but_not_box(self):
         gd = GraphDatum((1,), (0,), (2,))
@@ -191,7 +192,7 @@ class TestGraphDatum:
         for gd in data:
             plain = PointPrefix(gd.a, gd.x, gd.g)
             assert isinstance(gd, PointPrefix)
-            assert gd.encoded() == encode_point(plain)
+            assert encode_point(gd) == encode_point(plain)
             assert gd != plain and plain != gd
             assert repr(gd) == f"GraphDatum(a={gd.a!r}, x={gd.x!r}, g={gd.g!r})"
 
@@ -272,7 +273,7 @@ class TestBuild:
     def test_equals_the_checked_constructor(self, case):
         data, allow_boundary = case
         es = build_encoded_set(data, allow_boundary=allow_boundary)
-        checked = EncodedSet(data[0].depth, tuple(gd.encoded() for gd in data))
+        checked = EncodedSet(data[0].depth, tuple(encode_point(gd) for gd in data))
         assert es == checked
         assert hash(es) == hash(checked)
         assert repr(es) == repr(checked)
@@ -629,7 +630,7 @@ def test_traced_benchmark_targets_resolve():
 class TestSerializationHelpers:
     def test_graph_datum_roundtrip(self):
         gd = GraphDatum((2, 1), (1, 0), (2, 1))
-        assert graph_datum_from_dict(graph_datum_to_dict(gd)) == gd
+        assert graph_datum_from_dict({"a": [2, 1], "x": [1, 0], "g": [2, 1]}) == gd
 
     def test_from_dict_shape_errors(self):
         with pytest.raises(GraphDataParseError):
@@ -738,3 +739,67 @@ class TestLoadGraphData:
         with pytest.raises(GraphDataParseError) as info:
             load_graph_data(["\ufeff{}"])
         assert str(info.value) == f"line 1: invalid JSON: {expected.value}"
+
+
+class TestDatasetError:
+    """Well-shaped input with bad values raises `DatasetError`, a `ValueError`."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: load_graph_data(['{"a": [1], "x": [0], "g": [9]}']),
+                "line 1: offsets (9,) leave the codec domain for sizes (1,)",
+            ),
+            (lambda: build_encoded_set([]), "cannot build an encoded set from no data"),
+            (
+                lambda: build_encoded_set(
+                    [GraphDatum((1,), (0,), (0,)), GraphDatum((1, 1), (0, 0), (0, 0))]
+                ),
+                "datum 2 has depth 2, expected 1",
+            ),
+            (
+                lambda: build_encoded_set([GraphDatum((1,), (0,), (2,))]),
+                "datum 1 has an offset at a size + 1 boundary; "
+                "boundary offsets must be allowed explicitly",
+            ),
+            (
+                lambda: build_encoded_set(
+                    [GraphDatum((1,), (0,), (0,)), GraphDatum((1,), (0,), (1,))]
+                ),
+                "datum 2 repeats the argument (a, x) of datum 1",
+            ),
+            (
+                lambda: encoded_set_from_dict({"depth": 1, "points": [[-1]]}),
+                "code must be >= 0, got -1",
+            ),
+            (
+                lambda: encoded_set_from_dict({"depth": 2, "points": [[0]]}),
+                "point (0,) has length 1, expected depth 2",
+            ),
+            (
+                lambda: encoded_set_from_dict({"depth": -1, "points": []}),
+                "depth must be >= 0, got -1",
+            ),
+        ],
+        ids=[
+            "graph-datum-value",
+            "no-data",
+            "mixed-depth",
+            "boundary-offset",
+            "repeated-argument",
+            "negative-code",
+            "point-length",
+            "negative-depth",
+        ],
+    )
+    def test_raised_with_the_message(self, make, message):
+        with pytest.raises(DatasetError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_is_a_value_error_exported_by_the_package(self):
+        assert issubclass(DatasetError, ValueError)
+        assert not issubclass(DatasetError, GraphDataParseError)
+        assert not issubclass(GraphDataParseError, DatasetError)
+        assert haarnull.DatasetError is DatasetError

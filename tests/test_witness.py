@@ -418,7 +418,7 @@ class TestIsWitnessPrefix:
         x = report.counterexample["x"]
         spec = uniform_product_spec(wit)
         assert report.counterexample["measure"] == measure_of(
-            spec, cyl.translate(x)
+            spec, translate_set(cyl, x)
         )
         assert report.counterexample["measure"] > 0
 
