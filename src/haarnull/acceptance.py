@@ -1,11 +1,17 @@
 """Acceptance criteria: the checks that gate a release of this library.
 
-Each criterion is one function returning a `CriterionResult`; `run_all`
-executes the nine of them with per-criterion derived seeds so the whole
-battery is reproducible from one integer.  Criteria either re-verify exact
-identities on randomized instances, compare fast implementations against
-deliberately naive oracles, or pin down documented constants; two of them
-also enforce wall-clock ceilings.
+`CRITERIA` is the battery, one entry per criterion: its key, its
+description, its check, and its wall-clock limit in seconds (or None).  A
+check is a private function `(seed, budget) -> (failures, detail)` that
+runs at the release parameters, the module constants below.  `run_all` is
+the one runner.  It gives the check at position i (counting from 1) the
+seed `seed * 1_000_003 + i`, so the whole battery is reproducible from one
+integer; it times each check once, fails a gated check that reaches its
+limit and appends ` in X.XXs (limit Ns)` to that check's detail, and
+reports the first three failures, or else the detail.  Criteria either
+re-verify exact identities on randomized instances, compare fast
+implementations against deliberately naive oracles, or pin down documented
+constants.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .codec import decode, encode, separation_gap
 from .eset import (
@@ -50,17 +56,9 @@ from .witness import (
 )
 
 __all__ = [
+    "CRITERIA",
     "CriterionResult",
     "codec_roundtrip_scan",
-    "criterion_codec_roundtrip",
-    "criterion_order_isomorphism",
-    "criterion_coding_recurrences",
-    "criterion_separation_gap",
-    "criterion_restrict_normalize",
-    "criterion_convolution_oracle",
-    "criterion_deficiency_bound",
-    "criterion_encoded_set_checks",
-    "criterion_witness_prefix_oracle",
     "restrict_normalize_instances",
     "random_coordinate_measure",
     "random_cylinder",
@@ -68,6 +66,17 @@ __all__ = [
     "convolve_oracle",
     "run_all",
 ]
+
+# The release parameters: the battery runs at these values only.
+CODEC_CODES = 10**6  # codes scanned by codec-roundtrip and order-isomorphism
+RECURRENCE_SIZES = 10**4
+GAP_SIZES = 20  # triples of sizes 1..20 for separation-gap
+RESTRICT_NORMALIZE_INSTANCES = 100
+RESTRICT_NORMALIZE_DEPTH = 5
+CONVOLUTION_PAIRS = 1000
+DEFICIENCY_SEQUENCES = 100
+GRAPH_DATASETS = 100
+PREFIX_INSTANCES = 50
 
 
 @dataclass
@@ -86,15 +95,6 @@ class CriterionResult:
 
     def line(self) -> str:
         return f"[{self.status}] {self.key}: {self.detail}"
-
-
-def _result(
-    key: str, description: str, failures: list, detail: str, started: float
-) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    if failures:
-        detail = "; ".join(str(f) for f in failures[:3])
-    return CriterionResult(key, description, not failures, detail, elapsed)
 
 
 def _roundtrip_failure(triple: tuple[int, int, int], code: int) -> str:
@@ -130,114 +130,23 @@ def codec_roundtrip_scan(limit: int) -> tuple[int, Optional[str]]:
     return triples, None
 
 
-def criterion_codec_roundtrip(
-    limit: int = 10**6, time_limit: float = 5.0
-) -> CriterionResult:
-    """Both codec directions are mutually inverse below `limit`, within time_limit."""
-    started = time.perf_counter()
-    triples, failure = codec_roundtrip_scan(limit)
-    failures = [failure] if failure else []
-    elapsed = time.perf_counter() - started
-    if elapsed >= time_limit:
-        failures.append(f"took {elapsed:.2f}s, limit {time_limit}s")
-    return _result(
-        "codec-roundtrip",
-        f"decode/encode mutually inverse below {limit}",
-        failures,
-        f"{limit} codes and {triples} triples round-tripped in "
-        f"{elapsed:.2f}s (limit {time_limit:.0f}s)",
-        started,
-    )
+def _random_weights(rng: Random, support) -> FiniteMeasureZ:
+    """Random weights 1..9 on the sorted support, normalized to mass 1."""
+    weights = {z: rng.randint(1, 9) for z in sorted(support)}
+    total = sum(weights.values())
+    return FiniteMeasureZ({z: Fraction(w, total) for z, w in weights.items()})
 
 
-def criterion_order_isomorphism(limit: int = 10**6) -> CriterionResult:
-    """Decoded triples grow strictly in lex order as the code increases."""
-    started = time.perf_counter()
-    failures: list = []
-    prev = decode(0).as_tuple()
-    for m in range(1, limit):
-        cur = decode(m).as_tuple()
-        if not prev < cur:
-            failures.append(f"decode({m}) = {cur} does not follow {prev}")
-            break
-        prev = cur
-    return _result(
-        "order-isomorphism",
-        "decoding is strictly increasing for lex triple order",
-        failures,
-        f"decode strictly increasing on the first {limit} codes",
-        started,
-    )
-
-
-def criterion_coding_recurrences(max_size: int = 10**4) -> CriterionResult:
-    """Block-start recurrences hold for every size up to max_size."""
-    started = time.perf_counter()
-    failures: list = []
-    for n in range(1, max_size + 1):
-        if encode(n, 1, 0) != encode(n, 0, 0) + (n + 2):
-            failures.append(f"bit-flip recurrence breaks at size {n}")
-        if encode(n + 1, 0, 0) != encode(n, 1, 0) + (n + 2):
-            failures.append(f"size-step recurrence breaks at size {n}")
-        if failures:
-            break
-    return _result(
-        "coding-recurrences",
-        "block-start recurrences for sizes up to 10^4",
-        failures,
-        f"both recurrences hold for sizes 1..{max_size}",
-        started,
-    )
-
-
-def criterion_separation_gap(max_size: int = 20) -> CriterionResult:
-    """Support-box triples in distinct cells are 2-separated; 2 is attained."""
-    started = time.perf_counter()
-    failures: list = []
-    triples = [
-        decode(encode(n, b, z))
-        for n in range(1, max_size + 1)
-        for b in (0, 1)
-        for z in range(n + 1)
-    ]
-    pairs = 0
-    tight = 0
-    for i, p in enumerate(triples):
-        for q in triples[i + 1 :]:
-            if (p.n, p.b) == (q.n, q.b):
-                continue
-            pairs += 1
-            gap = separation_gap(p, q)
-            if gap < 2:
-                failures.append(
-                    f"gap {gap} between {p.as_tuple()} and {q.as_tuple()}"
-                )
-            elif gap == 2:
-                tight += 1
-        if failures:
-            break
-    if not failures and tight == 0:
-        failures.append("no pair attains the minimal gap 2")
-    return _result(
-        "separation-gap",
-        "pairwise code gap >= 2 across cells, with tightness",
-        failures,
-        f"{pairs} cross-cell pairs checked, {tight} attain the bound",
-        started,
-    )
-
-
-def random_coordinate_measure(rng: Random, max_radius: int = 3) -> FiniteMeasureZ:
-    """A random rational measure whose support spans [shift - radius, shift]."""
-    radius = rng.randint(0, max_radius)
+def random_coordinate_measure(rng: Random) -> FiniteMeasureZ:
+    """A random rational measure whose support spans [shift - radius, shift],
+    with radius at most 3."""
+    radius = rng.randint(0, 3)
     shift = rng.randint(-3, 3)
     support = {shift - radius, shift}
     for z in range(shift - radius + 1, shift):
         if rng.random() < 0.5:
             support.add(z)
-    weights = {z: rng.randint(1, 9) for z in sorted(support)}
-    total = sum(weights.values())
-    return FiniteMeasureZ({z: Fraction(w, total) for z, w in weights.items()})
+    return _random_weights(rng, support)
 
 
 def random_cylinder(
@@ -273,28 +182,6 @@ def restrict_normalize_instances(
         yield i, verify_restrict_normalize(shifted, trace, X)
 
 
-def criterion_restrict_normalize(
-    seed: int, instances: int = 100, time_limit: float = 60.0
-) -> CriterionResult:
-    """All four flattening identities hold on randomized instances."""
-    started = time.perf_counter()
-    failures: list = []
-    for i, report in restrict_normalize_instances(seed, instances, max_depth=5):
-        if not report.passed:
-            failures.append(f"instance {i} fails: {report.counterexample}")
-            break
-    elapsed = time.perf_counter() - started
-    if elapsed >= time_limit:
-        failures.append(f"took {elapsed:.2f}s, limit {time_limit}s")
-    return _result(
-        "restrict-normalize",
-        "flattening identities on randomized instances",
-        failures,
-        f"{instances} instances verified in {elapsed:.2f}s (limit {time_limit:.0f}s)",
-        started,
-    )
-
-
 def convolve_oracle(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
     """Naive convolution: tabulate every outcome pair of two independent draws."""
     out: dict[int, Fraction] = {}
@@ -304,96 +191,21 @@ def convolve_oracle(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
     return FiniteMeasureZ(out)
 
 
-def random_measure(rng: Random, max_points: int = 12, span: int = 8) -> FiniteMeasureZ:
-    """A random rational measure on at most max_points points of [-span, span]."""
-    count = rng.randint(1, max_points)
-    support = rng.sample(range(-span, span + 1), count)
-    weights = {z: rng.randint(1, 9) for z in sorted(support)}
-    total = sum(weights.values())
-    return FiniteMeasureZ({z: Fraction(w, total) for z, w in weights.items()})
+def random_measure(rng: Random) -> FiniteMeasureZ:
+    """A random rational measure on at most 12 points of [-8, 8]."""
+    count = rng.randint(1, 12)
+    return _random_weights(rng, rng.sample(range(-8, 9), count))
 
 
-def criterion_convolution_oracle(seed: int, pairs: int = 1000) -> CriterionResult:
-    """Convolution agrees with the outcome-pair oracle and a pinned value."""
-    started = time.perf_counter()
-    failures: list = []
-    fixed = convolve(uniform(1), uniform(1))
-    want = FiniteMeasureZ({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
-    if fixed != want:
-        failures.append(f"coin + coin gives {fixed.weights}")
-    rng = Random(seed)
-    for i in range(pairs):
-        p = random_measure(rng)
-        q = random_measure(rng)
-        got = convolve(p, q)
-        if got != convolve_oracle(p, q):
-            failures.append(f"pair {i} disagrees with the oracle")
-            break
-        if got != convolve(q, p):
-            failures.append(f"pair {i} is not symmetric")
-            break
-    return _result(
-        "convolution-oracle",
-        "convolution vs the outcome-pair oracle",
-        failures,
-        f"{pairs} random pairs agree; coin + coin pinned",
-        started,
-    )
-
-
-def criterion_deficiency_bound(seed: int, sequences: int = 100) -> CriterionResult:
-    """Deficiency partials stay above the constant; certificate is exact."""
-    started = time.perf_counter()
-    failures: list = []
-    partial = Fraction(1)
-    for n in range(41):
-        partial *= 1 - Fraction(1, 1 << (n + 2))
-    tail_bound = 1 - Fraction(1, 1 << 41)
-    if partial * tail_bound <= DEFICIENCY_LOWER_BOUND:
-        failures.append(
-            f"certificate {partial * tail_bound} does not clear "
-            f"{DEFICIENCY_LOWER_BOUND}"
-        )
-    dyadic = [Fraction(1)]
-    for n in range(10):
-        dyadic.append(dyadic[-1] * (1 - Fraction(1, 1 << (n + 2))))
-    rng = Random(seed)
-    for i in range(sequences):
-        d = rng.randint(1, 10)
-        radii = tuple(rng.randint(0, 5) for _ in range(d))
-        spec = ProductMeasureSpec(
-            tuple(translate_measure(uniform(m), m) for m in radii)
-        )
-        trace = synthesize_witness(spec)
-        for n in range(d):
-            if trace.deficiency_partial[n] < dyadic[n + 1]:
-                failures.append(f"sequence {i} undercuts the dyadic product at {n}")
-            if dyadic[n + 1] < DEFICIENCY_LOWER_BOUND:
-                failures.append(f"dyadic partial product dips below the bound at {n}")
-        for n in range(1, d):
-            if trace.deficiency_partial[n] > trace.deficiency_partial[n - 1]:
-                failures.append(f"sequence {i} has increasing partials at {n}")
-        if failures:
-            break
-    return _result(
-        "deficiency-bound",
-        "deficiency partial products stay above 57/100",
-        failures,
-        f"{sequences} random size sequences bounded; certificate exact",
-        started,
-    )
-
-
-def random_graph_dataset(
-    rng: Random, max_depth: int = 4, max_size: int = 3, max_data: int = 50
-) -> list[GraphDatum]:
-    """Random graph data at one depth with pairwise distinct arguments."""
-    d = rng.randint(1, max_depth)
-    want = min(rng.randint(2, max_data), (2 * max_size) ** d)
+def random_graph_dataset(rng: Random) -> list[GraphDatum]:
+    """Random graph data at one depth d <= 4, with sizes at most 3, at most
+    50 data, and pairwise distinct arguments."""
+    d = rng.randint(1, 4)
+    want = min(rng.randint(2, 50), 6**d)
     args = set()
     data = []
     while len(data) < want:
-        a = tuple(rng.randint(1, max_size) for _ in range(d))
+        a = tuple(rng.randint(1, 3) for _ in range(d))
         x = tuple(rng.randint(0, 1) for _ in range(d))
         if (a, x) in args:
             continue
@@ -480,18 +292,164 @@ def _coinflip_mismatch(
     )
 
 
-def criterion_encoded_set_checks(
-    seed: int, datasets: int = 100, budget: int = DEFAULT_BUDGET
-) -> CriterionResult:
-    """Both checkers pass random valid datasets and fail a boundary control.
+def _witness_prefix_oracle(
+    witness: Sequence[int], cyl: CylinderSet
+) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    """First translate (lex order) of cyl with positive flat product mass."""
+    wit = tuple(witness)
+    d = len(wit)
+    if cyl.is_empty:
+        return None
+    windows = tuple(
+        (
+            -max(s[n] for s in cyl.prefixes),
+            wit[n] - min(s[n] for s in cyl.prefixes),
+        )
+        for n in range(d)
+    )
+    cell = Fraction(1)
+    for w in wit:
+        cell /= w + 1
+    for x in lattice_points(windows):
+        total = Fraction(0)
+        for s in cyl.prefixes:
+            if all(0 <= s[n] + x[n] <= wit[n] for n in range(d)):
+                total += cell
+        if total:
+            return x, total
+    return None
 
-    The closed-form coin-flip bound must also agree with the translate
-    search oracle, on status, lex-least translate and hits.
-    """
-    started = time.perf_counter()
-    failures: list = []
+
+# The checks, in table order.  Each returns its failures (a list the runner
+# may extend) and the detail it reports when there are none.
+
+
+def _codec_roundtrip(seed: int, budget: int) -> tuple[list[str], str]:
+    triples, failure = codec_roundtrip_scan(CODEC_CODES)
+    detail = f"{CODEC_CODES} codes and {triples} triples round-tripped"
+    return [failure] if failure else [], detail
+
+
+def _order_isomorphism(seed: int, budget: int) -> tuple[list[str], str]:
+    prev = decode(0).as_tuple()
+    for m in range(1, CODEC_CODES):
+        cur = decode(m).as_tuple()
+        if not prev < cur:
+            return [f"decode({m}) = {cur} does not follow {prev}"], ""
+        prev = cur
+    return [], f"decode strictly increasing on the first {CODEC_CODES} codes"
+
+
+def _coding_recurrences(seed: int, budget: int) -> tuple[list[str], str]:
+    failures = []
+    for n in range(1, RECURRENCE_SIZES + 1):
+        if encode(n, 1, 0) != encode(n, 0, 0) + (n + 2):
+            failures.append(f"bit-flip recurrence breaks at size {n}")
+        if encode(n + 1, 0, 0) != encode(n, 1, 0) + (n + 2):
+            failures.append(f"size-step recurrence breaks at size {n}")
+        if failures:
+            break
+    return failures, f"both recurrences hold for sizes 1..{RECURRENCE_SIZES}"
+
+
+def _separation_gap(seed: int, budget: int) -> tuple[list[str], str]:
+    failures = []
+    triples = [
+        decode(encode(n, b, z))
+        for n in range(1, GAP_SIZES + 1)
+        for b in (0, 1)
+        for z in range(n + 1)
+    ]
+    pairs = 0
+    tight = 0
+    for i, p in enumerate(triples):
+        for q in triples[i + 1 :]:
+            if (p.n, p.b) == (q.n, q.b):
+                continue
+            pairs += 1
+            gap = separation_gap(p, q)
+            if gap < 2:
+                failures.append(
+                    f"gap {gap} between {p.as_tuple()} and {q.as_tuple()}"
+                )
+            elif gap == 2:
+                tight += 1
+        if failures:
+            break
+    if not failures and tight == 0:
+        failures.append("no pair attains the minimal gap 2")
+    return failures, f"{pairs} cross-cell pairs checked, {tight} attain the bound"
+
+
+def _restrict_normalize(seed: int, budget: int) -> tuple[list[str], str]:
+    for i, report in restrict_normalize_instances(
+        seed, RESTRICT_NORMALIZE_INSTANCES, RESTRICT_NORMALIZE_DEPTH
+    ):
+        if not report.passed:
+            return [f"instance {i} fails: {report.counterexample}"], ""
+    return [], f"{RESTRICT_NORMALIZE_INSTANCES} instances verified"
+
+
+def _convolution_oracle(seed: int, budget: int) -> tuple[list[str], str]:
+    failures = []
+    fixed = convolve(uniform(1), uniform(1))
+    want = FiniteMeasureZ({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
+    if fixed != want:
+        failures.append(f"coin + coin gives {fixed.weights}")
     rng = Random(seed)
-    for i in range(datasets):
+    for i in range(CONVOLUTION_PAIRS):
+        p = random_measure(rng)
+        q = random_measure(rng)
+        got = convolve(p, q)
+        if got != convolve_oracle(p, q):
+            failures.append(f"pair {i} disagrees with the oracle")
+            break
+        if got != convolve(q, p):
+            failures.append(f"pair {i} is not symmetric")
+            break
+    return failures, f"{CONVOLUTION_PAIRS} random pairs agree; coin + coin pinned"
+
+
+def _deficiency_bound(seed: int, budget: int) -> tuple[list[str], str]:
+    failures = []
+    dyadic = [Fraction(1)]  # dyadic[k] is the product of 1 - 2^-(n+2) over n < k
+    for n in range(41):
+        dyadic.append(dyadic[-1] * (1 - Fraction(1, 1 << (n + 2))))
+    certificate = dyadic[41] * (1 - Fraction(1, 1 << 41))
+    if certificate <= DEFICIENCY_LOWER_BOUND:
+        failures.append(
+            f"certificate {certificate} does not clear {DEFICIENCY_LOWER_BOUND}"
+        )
+    rng = Random(seed)
+    for i in range(DEFICIENCY_SEQUENCES):
+        d = rng.randint(1, 10)
+        radii = tuple(rng.randint(0, 5) for _ in range(d))
+        spec = ProductMeasureSpec(
+            tuple(translate_measure(uniform(m), m) for m in radii)
+        )
+        trace = synthesize_witness(spec)
+        for n in range(d):
+            if trace.deficiency_partial[n] < dyadic[n + 1]:
+                failures.append(f"sequence {i} undercuts the dyadic product at {n}")
+            if dyadic[n + 1] < DEFICIENCY_LOWER_BOUND:
+                failures.append(f"dyadic partial product dips below the bound at {n}")
+        for n in range(1, d):
+            if trace.deficiency_partial[n] > trace.deficiency_partial[n - 1]:
+                failures.append(f"sequence {i} has increasing partials at {n}")
+        if failures:
+            break
+    return failures, (
+        f"{DEFICIENCY_SEQUENCES} random size sequences bounded; certificate exact"
+    )
+
+
+def _encoded_set_checks(seed: int, budget: int) -> tuple[list[str], str]:
+    """Both checkers pass random valid datasets and fail a boundary control;
+    the closed-form coin-flip bound agrees with the translate search oracle
+    on status, lex-least translate and hits."""
+    failures = []
+    rng = Random(seed)
+    for i in range(GRAPH_DATASETS):
         es = build_encoded_set(random_graph_dataset(rng))
         gap = check_pairwise_gap(es)
         if not gap.passed:
@@ -523,51 +481,15 @@ def criterion_encoded_set_checks(
     mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(control, budget))
     if mismatch:
         failures.append(f"boundary control: {mismatch}")
-    return _result(
-        "encoded-set-checks",
-        "gap and coin-flip checkers on random data plus a negative control",
-        failures,
-        f"{datasets} datasets pass both checks; boundary control fails both",
-        started,
+    return failures, (
+        f"{GRAPH_DATASETS} datasets pass both checks; boundary control fails both"
     )
 
 
-def _witness_prefix_oracle(
-    witness: Sequence[int], cyl: CylinderSet
-) -> Optional[tuple[tuple[int, ...], Fraction]]:
-    """First translate (lex order) of cyl with positive flat product mass."""
-    wit = tuple(witness)
-    d = len(wit)
-    if cyl.is_empty:
-        return None
-    windows = tuple(
-        (
-            -max(s[n] for s in cyl.prefixes),
-            wit[n] - min(s[n] for s in cyl.prefixes),
-        )
-        for n in range(d)
-    )
-    cell = Fraction(1)
-    for w in wit:
-        cell /= w + 1
-    for x in lattice_points(windows):
-        total = Fraction(0)
-        for s in cyl.prefixes:
-            if all(0 <= s[n] + x[n] <= wit[n] for n in range(d)):
-                total += cell
-        if total:
-            return x, total
-    return None
-
-
-def criterion_witness_prefix_oracle(
-    seed: int, instances: int = 50, budget: int = DEFAULT_BUDGET
-) -> CriterionResult:
-    """`is_witness_prefix` agrees with a naive scan, counterexamples included."""
-    started = time.perf_counter()
-    failures: list = []
+def _witness_prefix_agreement(seed: int, budget: int) -> tuple[list[str], str]:
+    failures = []
     rng = Random(seed)
-    for i in range(instances):
+    for i in range(PREFIX_INSTANCES):
         wit = tuple(rng.randint(1, 3) for _ in range(3))
         X = random_cylinder(rng, tuple((0, w) for w in wit), max_prefixes=4)
         report = is_witness_prefix(wit, X, budget=budget)
@@ -578,10 +500,8 @@ def criterion_witness_prefix_oracle(
                 break
         else:
             x, mass = expected
-            if report.status != FAIL or report.counterexample != {
-                "x": x,
-                "measure": mass,
-            }:
+            found = {"x": x, "measure": mass}
+            if report.status != FAIL or report.counterexample != found:
                 failures.append(
                     f"instance {i}: oracle finds {x} with mass {mass}, "
                     f"closed form reports {report.counterexample}"
@@ -593,30 +513,50 @@ def criterion_witness_prefix_oracle(
     capped = is_witness_prefix((1, 1, 1), CylinderSet(3, ((0, 0, 0),)), budget=1)
     if capped.status != BUDGET_EXCEEDED:
         failures.append(f"budget 1 yields status {capped.status}")
-    return _result(
-        "witness-prefix-oracle",
-        "translate scan vs a naive full-window oracle",
-        failures,
-        f"{instances} instances agree with the oracle, counterexamples identical",
-        started,
+    return failures, (
+        f"{PREFIX_INSTANCES} instances agree with the oracle, counterexamples identical"
     )
 
 
+# (key, description, check, wall-clock limit in seconds or None)
+CRITERIA: tuple[tuple[str, str, Callable, Optional[float]], ...] = (
+    ("codec-roundtrip", f"decode/encode mutually inverse below {CODEC_CODES}",
+     _codec_roundtrip, 5.0),
+    ("order-isomorphism", "decoding is strictly increasing for lex triple order",
+     _order_isomorphism, None),
+    ("coding-recurrences", "block-start recurrences for sizes up to 10^4",
+     _coding_recurrences, None),
+    ("separation-gap", "pairwise code gap >= 2 across cells, with tightness",
+     _separation_gap, None),
+    ("restrict-normalize", "flattening identities on randomized instances",
+     _restrict_normalize, 60.0),
+    ("convolution-oracle", "convolution vs the outcome-pair oracle",
+     _convolution_oracle, None),
+    ("deficiency-bound", "deficiency partial products stay above 57/100",
+     _deficiency_bound, None),
+    ("encoded-set-checks",
+     "gap and coin-flip checkers on random data plus a negative control",
+     _encoded_set_checks, None),
+    ("witness-prefix-oracle", "translate scan vs a naive full-window oracle",
+     _witness_prefix_agreement, None),
+)
+
+
 def run_all(seed: int = 42, budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
-    """Run the nine acceptance criteria with per-criterion derived seeds."""
+    """Run every check of `CRITERIA` once, timed, with its derived seed."""
     check_budget(budget)
-
-    def sub(index: int) -> int:
-        return seed * 1_000_003 + index
-
-    return [
-        criterion_codec_roundtrip(),
-        criterion_order_isomorphism(),
-        criterion_coding_recurrences(),
-        criterion_separation_gap(),
-        criterion_restrict_normalize(sub(5)),
-        criterion_convolution_oracle(sub(6)),
-        criterion_deficiency_bound(sub(7)),
-        criterion_encoded_set_checks(sub(8), budget=budget),
-        criterion_witness_prefix_oracle(sub(9), budget=budget),
-    ]
+    results = []
+    for i, (key, description, check, time_limit) in enumerate(CRITERIA, start=1):
+        started = time.perf_counter()
+        failures, detail = check(seed * 1_000_003 + i, budget)
+        elapsed = time.perf_counter() - started
+        if time_limit is not None:
+            if elapsed >= time_limit:
+                failures.append(f"took {elapsed:.2f}s, limit {time_limit}s")
+            detail += f" in {elapsed:.2f}s (limit {time_limit:.0f}s)"
+        if failures:
+            detail = "; ".join(failures[:3])
+        results.append(
+            CriterionResult(key, description, not failures, detail, elapsed)
+        )
+    return results

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .measures import _check_int
 from .serialization import jsonify
 
 __all__ = [
@@ -27,8 +28,9 @@ DEFAULT_BUDGET = 10**7
 
 
 def check_budget(budget: int) -> None:
-    """Reject a budget below 1, before any work is done under it."""
-    if budget < 1:
+    """Reject a budget that is not an integer of at least 1, before any work
+    is done under it."""
+    if _check_int(budget, "budget") < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
 

@@ -57,14 +57,19 @@ def parse_json(text: str) -> Any:
 
     Syntax errors raise `json.JSONDecodeError` with the messages of
     `json.loads`; an integer literal longer than the interpreter's limit on
-    integer digits raises a plain `ValueError`, as it does there.
+    integer digits raises a plain `ValueError`, as it does there.  Nesting
+    deeper than the interpreter's recursion limit raises a `ValueError`
+    carrying the decoder's `RecursionError` message.
     """
     # json.loads makes this test before it decodes; the decoder does not.
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError(
             "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
         )
-    return _STRICT_DECODER.decode(text)
+    try:
+        return _STRICT_DECODER.decode(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def fraction_to_str(q: Fraction) -> str:

@@ -1,17 +1,23 @@
-"""Acceptance gate: the nine release criteria, one test each.
+"""Acceptance gate: the nine release criteria, one test each, and the runner.
 
 The battery runs once per session (the `battery` fixture calls
-`run_all(seed=42)`).  `run_all` runs every criterion with its default
-parameters, which are the release parameters: 10**6 codes with a 5 s limit,
-100 restrict-normalize instances with a 60 s limit, a budget of 10**7, and
-so on.  Each test looks up its criterion by key, checks that the detail
-names those parameters, prints the one-line verdict (run pytest with -s or
--v plus -rA to see them), and fails with the recorded detail if the
-criterion does not pass.
+`run_all(seed=42)`).  Every criterion runs at the release parameters, the
+constants of `haarnull.acceptance`: 10**6 codes with a 5 s limit, 100
+restrict-normalize instances with a 60 s limit, a budget of 10**7, and so
+on.  Each test looks up its criterion by key, checks that the detail names
+those parameters, prints the one-line verdict (run pytest with -s or -v
+plus -rA to see them), and fails with the recorded detail if the criterion
+does not pass.  `TestRunner` drives `run_all` through stub tables and
+through single table entries under injected faults.
 """
 
-from haarnull import acceptance
+import re
+
+import pytest
+
+from haarnull import acceptance, witness
 from haarnull.acceptance import codec_roundtrip_scan
+from haarnull.measures import dirac, uniform
 
 
 def check(battery, key, *parameters):
@@ -73,3 +79,142 @@ class TestCodecRoundtripScan:
         wrong = real(101).as_tuple()
         want = f"triple {wrong} encodes to 101, code 100 decodes to {wrong}"
         assert codec_roundtrip_scan(1000) == (0, want)
+
+
+def stub(seed, budget):
+    return [], "stub detail"
+
+
+def run_only(monkeypatch, key):
+    """`key`'s own table entry, run by `run_all(seed=42)` at its own position
+    (so with its own derived seed); every other entry is a passing stub."""
+    table = tuple(
+        entry if entry[0] == key else (entry[0], entry[1], stub, None)
+        for entry in acceptance.CRITERIA
+    )
+    monkeypatch.setattr(acceptance, "CRITERIA", table)
+    (result,) = [r for r in acceptance.run_all(seed=42) if r.key == key]
+    return result
+
+
+def wide_smoothing_one_short(monkeypatch):
+    real = witness.convolve
+
+    def convolve(m, u):  # smoothing sizes of 80 and more lose a point
+        if u.max_support >= 80:
+            u = uniform(u.max_support - 1)
+        return real(m, u)
+
+    monkeypatch.setattr(witness, "convolve", convolve)
+
+
+def large_pairs_drop_a_factor(monkeypatch):
+    # pairs with 23 or more support points in all return p unchanged
+    real = acceptance.convolve
+    monkeypatch.setattr(
+        acceptance,
+        "convolve",
+        lambda p, q: real(p, dirac(0) if len(p.support) + len(q.support) >= 23 else q),
+    )
+
+
+def last_size_halved(monkeypatch):
+    # at depth 3 and more, the last coordinate's size uses 2^(n+1), not 2^(n+2)
+    def sizes(radii):
+        last = len(radii) - 1
+        return tuple(
+            max(2 * m + 1, (1 << (n + 1 if n == last >= 2 else n + 2)) * m)
+            for n, m in enumerate(radii)
+        )
+
+    monkeypatch.setattr(witness, "choose_uniform_sizes", sizes)
+
+
+def coinflip_budget_capped(monkeypatch):
+    real = acceptance.coinflip_bound
+    monkeypatch.setattr(acceptance, "coinflip_bound", lambda es, budget: real(es, 100))
+
+
+def prefix_budget_one(monkeypatch):
+    real = acceptance.is_witness_prefix
+    monkeypatch.setattr(
+        acceptance, "is_witness_prefix", lambda w, X, budget: real(w, X, budget=1)
+    )
+
+
+class TestRunner:
+    def test_time_limit(self, monkeypatch):
+        table = (("slow", "a stub", stub, 0.0), ("free", "a stub", stub, None))
+        monkeypatch.setattr(acceptance, "CRITERIA", table)
+        slow, free = acceptance.run_all(seed=1)
+        assert not slow.passed
+        assert re.fullmatch(r"took \d+\.\d\ds, limit 0\.0s", slow.detail)
+        assert (free.passed, free.detail) == (True, "stub detail")
+
+    def test_keeps_the_first_three_failures(self, monkeypatch):
+        def failing(seed, budget):
+            return ["a", "b", "c", "d"], "unused"
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (("bad", "a stub", failing, None),))
+        (result,) = acceptance.run_all(seed=1)
+        assert (result.passed, result.detail) == (False, "a; b; c")
+
+    def test_derived_seeds(self, monkeypatch):
+        seen = []
+
+        def record(seed, budget):
+            seen.append((seed, budget))
+            return [], ""
+
+        table = tuple((k, d, record, t) for k, d, _, t in acceptance.CRITERIA)
+        monkeypatch.setattr(acceptance, "CRITERIA", table)
+        acceptance.run_all(seed=7, budget=5)
+        assert seen == [(7 * 1_000_003 + i, 5) for i in range(1, 10)]
+
+    @pytest.mark.parametrize("budget", [0, -3, True, 1.0, 2.5, "10"])
+    def test_budget_checked_before_any_check(self, monkeypatch, budget):
+        def never(seed, budget):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (("never", "a stub", never, None),))
+        with pytest.raises(ValueError, match="^budget must be "):
+            acceptance.run_all(budget=budget)
+
+    # One fault per seeded criterion.  Each expected detail is the one the
+    # battery reported at seed 42 before its criteria became table entries.
+    @pytest.mark.parametrize(
+        "key, fault, detail",
+        [
+            (
+                "restrict-normalize",
+                wide_smoothing_one_short,
+                "instance 17 fails: {'identities': "
+                "['smoothed_equals_flat_on_box', 'restrict_normalize_quotient']}",
+            ),
+            (
+                "convolution-oracle",
+                large_pairs_drop_a_factor,
+                "pair 34 disagrees with the oracle",
+            ),
+            (
+                "deficiency-bound",
+                last_size_halved,
+                "sequence 1 undercuts the dyadic product at 2",
+            ),
+            (
+                "encoded-set-checks",
+                coinflip_budget_capped,
+                "dataset 1: checkers disagree (pass vs budget-exceeded): None",
+            ),
+            (
+                "witness-prefix-oracle",
+                prefix_budget_one,
+                "instance 0: oracle finds (-5, -5, 2) with mass 1/64, "
+                "closed form reports None",
+            ),
+        ],
+    )
+    def test_seeded_criterion_under_a_fault(self, monkeypatch, key, fault, detail):
+        fault(monkeypatch)
+        result = run_only(monkeypatch, key)
+        assert (result.passed, result.detail) == (False, detail)

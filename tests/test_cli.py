@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from haarnull import acceptance, cli
-from haarnull.acceptance import CriterionResult, criterion_codec_roundtrip
+from haarnull.acceptance import CriterionResult
 from haarnull.cli import main
 from haarnull.report import DEFAULT_BUDGET
 
@@ -69,7 +69,8 @@ class TestCodecCommands:
         monkeypatch.setattr(
             acceptance, "decode", lambda m: real(m + 1) if m == 100 else real(m)
         )
-        expected = criterion_codec_roundtrip(limit=1000).detail
+        (check,) = [c for k, _, c, _ in acceptance.CRITERIA if k == "codec-roundtrip"]
+        (expected,), _ = check(0, DEFAULT_BUDGET)  # the fault stops it at code 100
         assert expected.startswith("triple ")
         code, out, _ = run(
             capsys, "codec", "roundtrip", "--max", "1000", "--output", "json"
@@ -679,6 +680,18 @@ class TestExitCodes:
                 2,
                 "error: line 1: not valid UTF-8: unexpected end of data",
             ),
+            (
+                ["witness", "synth", "{spec}"],
+                {"spec": "[" * 100_000},
+                2,
+                "error: invalid JSON: maximum recursion depth exceeded",
+            ),
+            (
+                ["eset", "gap", "{data}"],
+                {"data": GOOD_DATA + "[" * 100_000 + "\n"},
+                2,
+                "error: line 3: invalid JSON: maximum recursion depth exceeded",
+            ),
         ],
         ids=[
             "graph-data-boundary",
@@ -694,6 +707,8 @@ class TestExitCodes:
             "graph-data-not-utf8",
             "encoded-not-utf8",
             "cylinder-not-utf8",
+            "spec-nested-too-deep",
+            "graph-data-nested-too-deep",
         ],
     )
     def test_table(self, capsys, tmp_path, argv, files, code, prefix):
@@ -786,7 +801,8 @@ class TestAcceptanceCommand:
         def never(*args, **kwargs):
             raise AssertionError("a criterion ran")
 
-        monkeypatch.setattr(acceptance, "criterion_codec_roundtrip", never)
+        table = tuple((k, d, never, t) for k, d, _, t in acceptance.CRITERIA)
+        monkeypatch.setattr(acceptance, "CRITERIA", table)
         code, out, err = run(capsys, "eset", "acceptance", "--budget", "0")
         assert (code, out) == (2, "")
         assert err == "error: budget must be >= 1, got 0\n"

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -426,8 +427,13 @@ class TestCoinflipBound:
         assert report.parameters["nodes_visited"] == 2
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            coinflip_bound(EncodedSet(1, ()), budget=0)
+        for budget in (0, -3, True, 1.0, 2.5, "10"):
+            why = ">= 1" if type(budget) is int else "an integer"
+            message = re.escape(f"budget must be {why}, got {budget!r}")
+            for es in (EncodedSet(1, ()), EncodedSet(1, ((0,), (1,)))):
+                for check in (coinflip_bound, _coinflip_search_oracle):
+                    with pytest.raises(ValueError, match=message):
+                        check(es, budget)
 
     @settings(deadline=None, max_examples=50)
     @given(graph_datasets())

@@ -1,5 +1,6 @@
 """Witness synthesis and verification tests."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -383,9 +384,10 @@ class TestIsWitnessPrefix:
         assert report.parameters["translates_required"] == 7
         assert report.parameters["budget"] == 2
 
-    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("budget", [0, -3, True, 1.0, 2.5, "10"])
     def test_budget_validated_before_the_empty_set_pass(self, budget):
-        message = f"budget must be >= 1, got {budget}"
+        why = ">= 1" if type(budget) is int else "an integer"
+        message = re.escape(f"budget must be {why}, got {budget!r}")
         for cyl in (CylinderSet.empty(1), CylinderSet(1, ((0,),))):
             with pytest.raises(ValueError, match=message):
                 is_witness_prefix((3,), cyl, budget=budget)
