@@ -8,10 +8,11 @@ the one runner.  It gives the check at position i (counting from 1) the
 seed `seed * 1_000_003 + i`, so the whole battery is reproducible from one
 integer; it times each check once, fails a gated check that reaches its
 limit and appends ` in X.XXs (limit Ns)` to that check's detail, and
-reports the first three failures, or else the detail.  Criteria either
-re-verify exact identities on randomized instances, compare fast
-implementations against deliberately naive oracles, or pin down documented
-constants.
+reports the first three failures, or else the detail.  A check that raises
+fails with `raised <type>: <message>`, and the battery goes on to the next
+check.  Criteria either re-verify exact identities on randomized instances,
+compare fast implementations against deliberately naive oracles, or pin
+down documented constants.
 """
 
 from __future__ import annotations
@@ -543,12 +544,16 @@ CRITERIA: tuple[tuple[str, str, Callable, Optional[float]], ...] = (
 
 
 def run_all(seed: int = 42, budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
-    """Run every check of `CRITERIA` once, timed, with its derived seed."""
+    """Run every check of `CRITERIA` once, timed, with its derived seed; a
+    check that raises fails, and the rest still run."""
     check_budget(budget)
     results = []
     for i, (key, description, check, time_limit) in enumerate(CRITERIA, start=1):
         started = time.perf_counter()
-        failures, detail = check(seed * 1_000_003 + i, budget)
+        try:
+            failures, detail = check(seed * 1_000_003 + i, budget)
+        except Exception as exc:  # a fault in one check must not stop the rest
+            failures, detail = [f"raised {type(exc).__name__}: {exc}"], ""
         elapsed = time.perf_counter() - started
         if time_limit is not None:
             if elapsed >= time_limit:

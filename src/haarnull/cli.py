@@ -8,9 +8,15 @@ Three command families mirror the library layout:
 
 Every leaf command takes --output {text,json}.  JSON output is purely a
 function of the arguments, the seed, and the input files (no timestamps,
-keys sorted), so reruns are byte-identical.  Each command returns its exit
-code and its whole output, and `main` writes that output in one piece, so
-a command that fails writes nothing to stdout.  `main` also picks every
+keys sorted), so reruns are byte-identical.
+
+Each command's handler takes the parsed arguments and returns its exit
+code, its JSON value and its text lines; it neither prints nor looks at
+--output.  `main` alone picks the format: it dumps the JSON value (Fractions
+as "p/q", tuples as lists) or joins the text lines, and writes the result
+in one piece, so a command that fails writes nothing to stdout.  Rendering
+happens inside the same `try` as the handler, so an integer too long for
+Python to print is an error like any other.  `main` also picks every
 failure's exit code from the exception type: 1 for a `DatasetError` (a
 dataset invariant violation, with the offending line numbers) and for an
 `UnsupportedDepthError`; 2 for any other `ValueError` or an `OSError`:
@@ -24,7 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Any, Iterable, Optional, Sequence
 
 from .acceptance import codec_roundtrip_scan, restrict_normalize_instances, run_all
 from .codec import decode, encode
@@ -51,7 +58,7 @@ from .witness import is_witness_prefix, synthesize_witness
 
 __all__ = ["main"]
 
-Output = tuple[int, str]  # exit code, stdout text without its final newline
+Output = tuple[int, Any, Iterable[str]]  # exit code, JSON value, text lines
 
 
 def _read_text(path: str) -> str:
@@ -83,52 +90,40 @@ def _dump(obj) -> str:
     return json.dumps(jsonify(obj), indent=2, sort_keys=True)
 
 
-def _render_report(report: VerificationReport, output: str) -> Output:
-    code = 0 if report.passed else 1
-    if output == "json":
-        return code, report.to_json()
+def _report_output(report: VerificationReport) -> Output:
+    value = report.to_json_dict()
     lines = [f"{report.claim}: {report.status}"]
-    if report.counterexample is not None:
+    if "counterexample" in value:
         lines.append(
-            "counterexample: "
-            + json.dumps(jsonify(report.counterexample), sort_keys=True)
+            "counterexample: " + json.dumps(value["counterexample"], sort_keys=True)
         )
     if report.parameters:
-        lines.append(
-            "parameters: " + json.dumps(jsonify(report.parameters), sort_keys=True)
-        )
-    return code, "\n".join(lines)
+        lines.append("parameters: " + json.dumps(value["parameters"], sort_keys=True))
+    return (0 if report.passed else 1), value, lines
 
 
 def cmd_codec_encode(args) -> Output:
     code = encode(args.n, args.b, args.z)
-    if args.output == "json":
-        return 0, _dump({"n": args.n, "b": args.b, "z": args.z, "code": code})
-    return 0, str(code)
+    return 0, {"n": args.n, "b": args.b, "z": args.z, "code": code}, [str(code)]
 
 
 def cmd_codec_decode(args) -> Output:
     t = decode(args.code)
-    if args.output == "json":
-        return 0, _dump({"code": args.code, "n": t.n, "b": t.b, "z": t.z})
-    return 0, f"({t.n},{t.b},{t.z})"
+    value = {"code": args.code, "n": t.n, "b": t.b, "z": t.z}
+    return 0, value, [f"({t.n},{t.b},{t.z})"]
 
 
 def cmd_codec_roundtrip(args) -> Output:
     if args.max < 1:
         raise ValueError(f"--max must be >= 1, got {args.max}")
     triples, failure = codec_roundtrip_scan(args.max)
-    code = 0 if failure is None else 1
     status = "fail" if failure else "pass"
-    if args.output == "json":
-        out = {"checked_codes": args.max, "checked_triples": triples, "status": status}
-        if failure:
-            out["counterexample"] = failure
-        return code, _dump(out)
+    value = {"checked_codes": args.max, "checked_triples": triples, "status": status}
     lines = [f"roundtrip: {status}, {args.max} codes, {triples} triples"]
     if failure:
+        value["counterexample"] = failure
         lines.append(f"counterexample: {failure}")
-    return code, "\n".join(lines)
+    return (0 if failure is None else 1), value, lines
 
 
 def cmd_witness_synth(args) -> Output:
@@ -136,8 +131,6 @@ def cmd_witness_synth(args) -> Output:
     if args.depth is not None:
         spec = materialize(spec, args.depth)
     trace = synthesize_witness(spec)
-    if args.output == "json":
-        return 0, _dump(trace.to_json_dict())
     lines = [
         f"depth: {trace.depth}",
         f"shifts: {list(trace.shifts)}",
@@ -148,7 +141,7 @@ def cmd_witness_synth(args) -> Output:
     if trace.depth:
         lines.append(f"scale: {fraction_to_str(trace.scale_partial[-1])}")
         lines.append(f"deficiency: {fraction_to_str(trace.deficiency_partial[-1])}")
-    return 0, "\n".join(lines)
+    return 0, vars(trace), lines
 
 
 def cmd_witness_verify_claim(args) -> Output:
@@ -156,31 +149,26 @@ def cmd_witness_verify_claim(args) -> Output:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
     if args.instances < 1:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
-    failures = [
-        {"instance": i, "report": report.to_json_dict()}
+    failed = [
+        (i, report)
         for i, report in restrict_normalize_instances(
             args.seed, args.instances, max_depth=args.depth
         )
         if not report.passed
     ]
-    code = 0 if not failures else 1
-    passed = args.instances - len(failures)
-    if args.output == "json":
-        return code, _dump(
-            {
-                "claim": "restrict-and-normalize",
-                "depth": args.depth,
-                "seed": args.seed,
-                "instances": args.instances,
-                "passed": passed,
-                "status": "pass" if not failures else "fail",
-                "failures": failures,
-            }
-        )
+    passed = args.instances - len(failed)
+    value = {
+        "claim": "restrict-and-normalize",
+        "depth": args.depth,
+        "seed": args.seed,
+        "instances": args.instances,
+        "passed": passed,
+        "status": "pass" if not failed else "fail",
+        "failures": [{"instance": i, "report": r.to_json_dict()} for i, r in failed],
+    }
     lines = [f"{passed}/{args.instances} pass"]
-    for entry in failures:
-        lines.append(f"instance {entry['instance']} failed: {_dump(entry['report'])}")
-    return code, "\n".join(lines)
+    lines.extend(f"instance {i} failed: {r.to_json()}" for i, r in failed)
+    return (1 if failed else 0), value, lines
 
 
 def cmd_witness_check_prefix(args) -> Output:
@@ -192,8 +180,7 @@ def cmd_witness_check_prefix(args) -> Output:
             '"witness" list'
         )
     cyl = cylinder_from_dict(_read_json(args.cylinder))
-    report = is_witness_prefix(tuple(witness), cyl, budget=args.budget)
-    return _render_report(report, args.output)
+    return _report_output(is_witness_prefix(tuple(witness), cyl, budget=args.budget))
 
 
 def _load_encoded_set(args) -> EncodedSet:
@@ -211,47 +198,40 @@ def _load_encoded_set(args) -> EncodedSet:
 
 def cmd_eset_build(args) -> Output:
     es = _load_encoded_set(args)
-    if args.output == "json":
-        return 0, _dump(encoded_set_to_dict(es))
-    lines = [f"depth: {es.depth}", f"points: {es.size}"]
-    lines.extend(" ".join(str(v) for v in p) for p in es.points)
-    return 0, "\n".join(lines)
+    # a generator, so a JSON run never renders the point lines
+    lines = chain(
+        [f"depth: {es.depth}", f"points: {es.size}"],
+        (" ".join(str(v) for v in p) for p in es.points),
+    )
+    return 0, encoded_set_to_dict(es), lines
 
 
 def cmd_eset_gap(args) -> Output:
-    return _render_report(check_pairwise_gap(_load_encoded_set(args)), args.output)
+    return _report_output(check_pairwise_gap(_load_encoded_set(args)))
 
 
 def cmd_eset_coinflip(args) -> Output:
     es = _load_encoded_set(args)
-    return _render_report(coinflip_bound(es, budget=args.budget), args.output)
+    return _report_output(coinflip_bound(es, budget=args.budget))
 
 
 def cmd_eset_acceptance(args) -> Output:
     results = run_all(seed=args.seed, budget=args.budget)
     ok = all(r.passed for r in results)
-    code = 0 if ok else 1
-    if args.output == "json":
-        return code, _dump(
-            {
-                "seed": args.seed,
-                "budget": args.budget,
-                "status": "pass" if ok else "fail",
-                "criteria": [
-                    {
-                        "key": r.key,
-                        "description": r.description,
-                        "status": "pass" if r.passed else "fail",
-                    }
-                    for r in results
-                ],
-            }
-        )
+    value = {
+        "seed": args.seed,
+        "budget": args.budget,
+        "status": "pass" if ok else "fail",
+        "criteria": [
+            {"key": r.key, "description": r.description, "status": r.status.lower()}
+            for r in results
+        ],
+    }
     lines = [f"{r.line()} ({r.elapsed:.2f}s)" for r in results]
     total = sum(r.elapsed for r in results)
     passed = sum(1 for r in results if r.passed)
     lines.append(f"{passed}/{len(results)} criteria passed in {total:.2f}s")
-    return code, "\n".join(lines)
+    return (0 if ok else 1), value, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,6 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
 
+    def leaf(family, name, handler, help):
+        p = family.add_parser(name, parents=[output], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="haarnull",
         description="Exact verifiers for witness synthesis and encoded graph sets.",
@@ -271,79 +256,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     codec = top.add_parser("codec", help="integer triple codec")
     codec_sub = codec.add_subparsers(dest="command", required=True)
-    p = codec_sub.add_parser("encode", parents=[output], help="triple to code")
+    p = leaf(codec_sub, "encode", cmd_codec_encode, "triple to code")
     p.add_argument("n", type=int)
     p.add_argument("b", type=int)
     p.add_argument("z", type=int)
-    p.set_defaults(handler=cmd_codec_encode)
-    p = codec_sub.add_parser("decode", parents=[output], help="code to triple")
+    p = leaf(codec_sub, "decode", cmd_codec_decode, "code to triple")
     p.add_argument("code", type=int)
-    p.set_defaults(handler=cmd_codec_decode)
-    p = codec_sub.add_parser(
-        "roundtrip", parents=[output], help="scan both codec directions"
-    )
+    p = leaf(codec_sub, "roundtrip", cmd_codec_roundtrip, "scan both codec directions")
     p.add_argument("--max", type=int, default=10**6, help="codes to scan")
-    p.set_defaults(handler=cmd_codec_roundtrip)
 
     witness = top.add_parser("witness", help="witness synthesis and verification")
     witness_sub = witness.add_subparsers(dest="command", required=True)
-    p = witness_sub.add_parser(
-        "synth", parents=[output], help="synthesize a witness sequence"
-    )
+    p = leaf(witness_sub, "synth", cmd_witness_synth, "synthesize a witness sequence")
     p.add_argument("spec", help="product measure spec JSON file, - for stdin")
     p.add_argument(
         "--depth", type=int, default=None, help="materialize the tail to this depth"
     )
-    p.set_defaults(handler=cmd_witness_synth)
-    p = witness_sub.add_parser(
+    p = leaf(
+        witness_sub,
         "verify-claim",
-        parents=[output],
-        help="verify the flattening identities on random instances",
+        cmd_witness_verify_claim,
+        "verify the flattening identities on random instances",
     )
     p.add_argument("--depth", type=int, default=4, help="maximal instance depth")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_witness_verify_claim)
-    p = witness_sub.add_parser(
+    p = leaf(
+        witness_sub,
         "check-prefix",
-        parents=[output],
-        help="check that every translate of a cylinder set is null",
+        cmd_witness_check_prefix,
+        "check that every translate of a cylinder set is null",
     )
     p.add_argument("witness", help="witness entries JSON file, - for stdin")
     p.add_argument("cylinder", help="cylinder set JSON file, - for stdin")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=cmd_witness_check_prefix)
 
     eset = top.add_parser("eset", help="encoded graph set checks")
     eset_sub = eset.add_subparsers(dest="command", required=True)
 
-    def add_data_args(sub):
-        sub.add_argument("data", help="graph data JSON-lines file, - for stdin")
-        sub.add_argument(
+    def data_leaf(name, handler, help):
+        p = leaf(eset_sub, name, handler, help)
+        p.add_argument("data", help="graph data JSON-lines file, - for stdin")
+        # an encoded set has no offsets to allow at the boundary
+        exclusive = p.add_mutually_exclusive_group()
+        exclusive.add_argument(
             "--encoded",
             action="store_true",
             help="treat the input as an already-encoded set JSON file",
         )
-        sub.add_argument(
+        exclusive.add_argument(
             "--allow-boundary",
             action="store_true",
             help="accept offsets at size + 1",
         )
+        return p
 
-    p = eset_sub.add_parser(
-        "build", parents=[output], help="encode graph data into a point set"
-    )
-    add_data_args(p)
-    p.set_defaults(handler=cmd_eset_build)
-    p = eset_sub.add_parser(
-        "gap", parents=[output], help="check pairwise 2-separation"
-    )
-    add_data_args(p)
-    p.set_defaults(handler=cmd_eset_gap)
-    p = eset_sub.add_parser(
-        "coinflip", parents=[output], help="check the translate hit bound"
-    )
-    add_data_args(p)
+    data_leaf("build", cmd_eset_build, "encode graph data into a point set")
+    data_leaf("gap", cmd_eset_gap, "check pairwise 2-separation")
+    p = data_leaf("coinflip", cmd_eset_coinflip, "check the translate hit bound")
     p.add_argument(
         "--budget",
         type=int,
@@ -351,13 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="most point pairs to compare before reporting budget-exceeded "
         "(default: %(default)s)",
     )
-    p.set_defaults(handler=cmd_eset_coinflip)
-    p = eset_sub.add_parser(
-        "acceptance", parents=[output], help="run the full acceptance battery"
+    p = leaf(
+        eset_sub, "acceptance", cmd_eset_acceptance, "run the full acceptance battery"
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=cmd_eset_acceptance)
 
     return parser
 
@@ -369,7 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        code, text = args.handler(args)
+        code, value, lines = args.handler(args)
+        text = _dump(value) if args.output == "json" else "\n".join(lines)
     except DatasetError as exc:
         code, message = 1, f"dataset error: {exc}"
     except UnsupportedDepthError as exc:

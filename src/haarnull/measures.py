@@ -275,11 +275,9 @@ class ProductMeasureSpec:
         return self.tail.resolve()
 
 
-def uniform_product_spec(
-    sizes: Sequence[int], tail: TailPolicy = None
-) -> ProductMeasureSpec:
-    """Product of uniform({0..sizes[n]}) coordinate measures."""
-    return ProductMeasureSpec(tuple(uniform(k) for k in sizes), tail)
+def uniform_product_spec(sizes: Sequence[int]) -> ProductMeasureSpec:
+    """Product of uniform({0..sizes[n]}) coordinate measures, with no tail."""
+    return ProductMeasureSpec(tuple(uniform(k) for k in sizes))
 
 
 def materialize(spec: ProductMeasureSpec, depth: int) -> ProductMeasureSpec:

@@ -132,20 +132,6 @@ class SynthesisTrace:
     def depth(self) -> int:
         return len(self.shifts)
 
-    def to_json_dict(self) -> dict:
-        from .serialization import fraction_to_str
-
-        return {
-            "shifts": list(self.shifts),
-            "radii": list(self.radii),
-            "sizes": list(self.sizes),
-            "witness": list(self.witness),
-            "scale_partial": [fraction_to_str(q) for q in self.scale_partial],
-            "deficiency_partial": [
-                fraction_to_str(q) for q in self.deficiency_partial
-            ],
-        }
-
 
 def shift_to_nonpositive(
     spec: ProductMeasureSpec,

@@ -8,14 +8,16 @@ on.  Each test looks up its criterion by key, checks that the detail names
 those parameters, prints the one-line verdict (run pytest with -s or -v
 plus -rA to see them), and fails with the recorded detail if the criterion
 does not pass.  `TestRunner` drives `run_all` through stub tables and
-through single table entries under injected faults.
+through real table entries under injected faults, among them a check that
+raises.
 """
 
+import json
 import re
 
 import pytest
 
-from haarnull import acceptance, witness
+from haarnull import acceptance, cli, witness
 from haarnull.acceptance import codec_roundtrip_scan
 from haarnull.measures import dirac, uniform
 
@@ -81,18 +83,27 @@ class TestCodecRoundtripScan:
         assert codec_roundtrip_scan(1000) == (0, want)
 
 
+RAISED = "raised ValueError: deficiency partial 4/9 at 1 dips below 57/100"
+
+
 def stub(seed, budget):
     return [], "stub detail"
 
 
-def run_only(monkeypatch, key):
-    """`key`'s own table entry, run by `run_all(seed=42)` at its own position
-    (so with its own derived seed); every other entry is a passing stub."""
+def keep_only(monkeypatch, *keys):
+    """Replace every table entry but those of `keys` by a passing stub, so
+    each kept entry runs at its own position (so with its own derived seed)."""
     table = tuple(
-        entry if entry[0] == key else (entry[0], entry[1], stub, None)
+        entry if entry[0] in keys else (entry[0], entry[1], stub, None)
         for entry in acceptance.CRITERIA
     )
     monkeypatch.setattr(acceptance, "CRITERIA", table)
+
+
+def run_only(monkeypatch, key):
+    """`key`'s own table entry, run by `run_all(seed=42)`; every other entry
+    is a passing stub."""
+    keep_only(monkeypatch, key)
     (result,) = [r for r in acceptance.run_all(seed=42) if r.key == key]
     return result
 
@@ -128,6 +139,14 @@ def last_size_halved(monkeypatch):
         )
 
     monkeypatch.setattr(witness, "choose_uniform_sizes", sizes)
+
+
+def sizes_just_above_twice_the_radius(monkeypatch):
+    # without the 2^(n+2) factor the deficiency partials dip below 57/100,
+    # and SynthesisTrace raises
+    monkeypatch.setattr(
+        witness, "choose_uniform_sizes", lambda radii: tuple(2 * m + 1 for m in radii)
+    )
 
 
 def coinflip_budget_capped(monkeypatch):
@@ -179,6 +198,27 @@ class TestRunner:
         monkeypatch.setattr(acceptance, "CRITERIA", (("never", "a stub", never, None),))
         with pytest.raises(ValueError, match="^budget must be "):
             acceptance.run_all(budget=budget)
+
+    @pytest.mark.parametrize("key", ["restrict-normalize", "deficiency-bound"])
+    def test_a_raising_check_fails_with_the_exception(self, monkeypatch, key):
+        sizes_just_above_twice_the_radius(monkeypatch)
+        result = run_only(monkeypatch, key)
+        assert (result.passed, result.detail) == (False, RAISED)
+
+    def test_a_raising_check_does_not_stop_the_battery(self, monkeypatch, capsys):
+        sizes_just_above_twice_the_radius(monkeypatch)
+        code_scans = ("codec-roundtrip", "order-isomorphism")  # 10**6 codes each
+        keep_only(
+            monkeypatch, *(k for k, *_ in acceptance.CRITERIA if k not in code_scans)
+        )
+        assert cli.main(["eset", "acceptance", "--output", "json"]) == 1
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        statuses = {c["key"]: c["status"] for c in criteria}
+        assert [k for k, status in statuses.items() if status == "fail"] == [
+            "restrict-normalize",
+            "deficiency-bound",
+        ]
+        assert len(statuses) == len(acceptance.CRITERIA)
 
     # One fault per seeded criterion.  Each expected detail is the one the
     # battery reported at seed 42 before its criteria became table entries.

@@ -1,5 +1,6 @@
 """Command line tests: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -724,6 +725,36 @@ class TestExitCodes:
         assert err.startswith(prefix), err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["eset", "gap", "{data}", "--encoded", "--allow-boundary"],
+                "argument --allow-boundary: not allowed with argument --encoded",
+            ),
+            (
+                ["eset", "build", "{data}", "--allow-boundary", "--encoded"],
+                "argument --encoded: not allowed with argument --allow-boundary",
+            ),
+            (
+                ["eset", "coinflip", "{data}", "--encoded", "--allow-boundary"],
+                "argument --allow-boundary: not allowed with argument --encoded",
+            ),
+        ],
+        ids=[
+            "gap-encoded-boundary",
+            "build-boundary-encoded",
+            "coinflip-encoded-boundary",
+        ],
+    )
+    def test_usage_errors(self, capsys, tmp_path, argv, message):
+        data = tmp_path / "encoded.json"
+        data.write_text(json.dumps({"depth": 1, "points": [[1], [3]]}))
+        code, out, err = run(capsys, *(a.format(data=data) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: haarnull eset ")
+        assert err.splitlines()[-1] == f"haarnull eset {argv[1]}: error: {message}"
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_unprintable_build_output_writes_nothing(self, capsys, tmp_path, output):
         data = tmp_path / "data.jsonl"
@@ -825,6 +856,65 @@ class TestAcceptanceCommand:
             "[FAIL] two: broken (0.50s)",
             "1/2 criteria passed in 0.75s",
         ]
+
+
+# One valid invocation of every leaf command, with the input files it names.
+LEAF_RUNS = {
+    ("codec", "encode"): ["2", "1", "3"],
+    ("codec", "decode"): ["13"],
+    ("codec", "roundtrip"): ["--max", "100"],
+    ("witness", "synth"): ["{spec}"],
+    ("witness", "verify-claim"): ["--depth", "2", "--instances", "3"],
+    ("witness", "check-prefix"): ["{witness}", "{cylinder}"],
+    ("eset", "build"): ["{data}"],
+    ("eset", "gap"): ["{data}"],
+    ("eset", "coinflip"): ["{data}"],
+    ("eset", "acceptance"): [],
+}
+LEAF_FILES = {
+    "spec": json.dumps(SPEC_JSON),
+    "witness": WITNESS_OK,
+    "cylinder": CYLINDER_OK,
+    "data": GOOD_DATA,
+}
+
+
+def subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestOutputPath:
+    """Every handler returns its exit code, JSON value and text lines, and
+    `main` alone picks the format."""
+
+    def test_every_leaf_command_is_run(self):
+        families = subcommands(cli.build_parser())
+        leaves = {(f, c) for f, sub in families.items() for c in subcommands(sub)}
+        assert leaves == set(LEAF_RUNS)
+
+    @pytest.mark.parametrize("command", sorted(LEAF_RUNS), ids="-".join)
+    def test_text_and_json_agree(self, capsys, monkeypatch, tmp_path, command):
+        results = [CriterionResult("one", "first", True, "fine", 0.25)]
+        monkeypatch.setattr(cli, "run_all", lambda seed, budget: results)
+        paths = {}
+        for name, content in LEAF_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(content)
+        argv = [*command, *(a.format(**paths) for a in LEAF_RUNS[command])]
+        text_code, text, text_err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--output", "json")
+        assert (text_err, json_err) == ("", "")
+        assert text_code == json_code
+        assert text and text != out
+        json.loads(out)
+
+    def test_main_alone_reads_the_output_format(self):
+        source = Path(cli.__file__).read_text()
+        assert source.count("args.output") == 1
+        assert source.count("_dump(") == 2  # its definition and its call in main
 
 
 def test_bench_selftest_runs():
