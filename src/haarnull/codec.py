@@ -4,13 +4,17 @@ encode(n, b, z) = (n - 1)(n + 4) + b(n + 2) + z packs, for each size n >= 1,
 a block of 2n + 4 consecutive codes: first the b = 0 half with offsets
 0..n+1, then the b = 1 half.  Restricted to the valid domain (offsets in
 [0, n + 1]) the map is an order-preserving bijection onto the nonnegative
-integers, where triples are ordered lexicographically.  `decode` inverts it
-in closed form: the block size is (isqrt(4m + 25) - 3) // 2, computed with
-integer square roots only, so no floating point is used anywhere and
-nothing is cached between calls.
+integers, where triples are ordered lexicographically.  The inverse is
+closed form: the block size is (r - 3) // 2 for r the integer square root
+of 4m + 25, so no floating point is used anywhere and nothing is cached
+between calls.
 
 `encode_point` / `decode_point` apply the codec coordinatewise to finite
-prefixes of sequence triples.
+prefixes of sequence triples.  Both decoding directions share one integer
+kernel that splits a code into (n, b, z): `decode` wraps its result in a
+`CodedTriple`, while `decode_point` transposes the split codes straight
+into the three components of a `PointPrefix`, with no triple built per
+coordinate.
 """
 
 from __future__ import annotations
@@ -84,20 +88,6 @@ class CodedTriple:
         return (self.n, self.b, self.z)
 
 
-def _trusted_triple(n: int, b: int, z: int) -> CodedTriple:
-    """Build a CodedTriple from values already known to be valid.
-
-    Skips `__post_init__`; the result is indistinguishable from
-    CodedTriple(n, b, z) under ==, hash and repr.
-    """
-    t = object.__new__(CodedTriple)
-    d = t.__dict__
-    d["n"] = n
-    d["b"] = b
-    d["z"] = z
-    return t
-
-
 def encode(n: int, b: int, z: int) -> int:
     """Evaluate (n - 1)(n + 4) + b(n + 2) + z.  Requires n >= 1, b in {0, 1}."""
     # Plain ints are tested inline.  Any other type goes to the checker, which
@@ -111,20 +101,34 @@ def encode(n: int, b: int, z: int) -> int:
     return (n - 1) * (n + 4) + b * (n + 2) + z
 
 
-def decode(m: int) -> CodedTriple:
-    """The unique domain triple with encode(n, b, z) = m.
+def _split(m: int) -> tuple[int, int, int]:
+    """The (n, b, z) with encode(n, b, z) = m and 0 <= z <= n + 1.
 
     The block size is the largest n with (n - 1)(n + 4) <= m, which is
-    (isqrt(4m + 25) - 3) // 2; b and z are read off the remainder.  Only
-    integer arithmetic is used, so the result is exact for every code.
+    (r - 3) // 2 for r the integer square root of 4m + 25; b and z are read
+    off the remainder.  Only integer arithmetic is used, so the result is
+    exact for every code.
     """
+    # A plain int is tested inline; any other value goes to the checker,
+    # which raises with the usual message or lets an int subclass through.
     if type(m) is not int or m < 0:
         _check_code(m)
     n = (isqrt(4 * m + 25) - 3) // 2
     r = m - (n - 1) * (n + 4)
     if r <= n + 1:
-        return _trusted_triple(n, 0, r)
-    return _trusted_triple(n, 1, r - (n + 2))
+        return n, 0, r
+    return n, 1, r - (n + 2)
+
+
+def decode(m: int) -> CodedTriple:
+    """The unique domain triple with encode(n, b, z) = m."""
+    # `_split` yields a valid size and bit, so `__post_init__` is skipped; the
+    # result is indistinguishable from CodedTriple(n, b, z) under ==, hash
+    # and repr.
+    t = object.__new__(CodedTriple)
+    d = t.__dict__
+    d["n"], d["b"], d["z"] = _split(m)
+    return t
 
 
 @dataclass(frozen=True)
@@ -199,12 +203,13 @@ def decode_point(s: Sequence[int]) -> PointPrefix:
     Inverse of `encode_point` on prefixes inside the codec domain;
     encode_point(decode_point(s)) = s holds for every nonnegative s.
     """
-    triples = [decode(m) for m in s]
-    return PointPrefix(
-        tuple(t.n for t in triples),
-        tuple(t.b for t in triples),
-        tuple(t.z for t in triples),
-    )
+    # `_split` yields valid sizes and bits, so `__post_init__` is skipped;
+    # the result is indistinguishable from the checked constructor's.
+    parts = [_split(m) for m in s]
+    p = object.__new__(PointPrefix)
+    d = p.__dict__
+    d["a"], d["x"], d["g"] = zip(*parts) if parts else ((), (), ())
+    return p
 
 
 def separation_gap(p: CodedTriple, q: CodedTriple) -> int:

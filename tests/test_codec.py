@@ -1,11 +1,13 @@
 """Codec tests: pinned values, roundtrips, order structure, separation."""
 
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull import codec
 from haarnull.codec import (
     CodedTriple,
     PointPrefix,
@@ -160,7 +162,8 @@ class TestDecode:
         assert repr(t) == repr(public)
 
     def test_thread_safety_of_block_cache(self):
-        # Concurrent decodes must each return the right triple.
+        # `decode` is stateless: concurrent decodes must each return the
+        # right triple.
         codes = [17, 10**8 + 3, 29, 10**9 + 7, 10**7 + 1, 5] * 50
         with ThreadPoolExecutor(max_workers=8) as pool:
             triples = list(pool.map(decode, codes))
@@ -182,7 +185,55 @@ class TestCodedTriple:
             CodedTriple(1, -1, 0)
 
 
+def reference_decode_point(s):
+    """Coordinatewise decode through `decode` and the checked constructor."""
+    ts = [decode(m) for m in s]
+    return PointPrefix(
+        tuple(t.n for t in ts), tuple(t.b for t in ts), tuple(t.z for t in ts)
+    )
+
+
+def assert_same_point(p, ref):
+    assert p == ref
+    assert hash(p) == hash(ref)
+    assert repr(p) == repr(ref)
+    assert type(p) is PointPrefix
+    for field in (p.a, p.x, p.g):
+        assert type(field) is tuple
+        assert all(type(v) is int for v in field)
+
+
 class TestPointLifts:
+    @given(
+        st.lists(st.integers(0, 10**30), max_size=8),
+        st.sampled_from(["list", "generator"]),
+    )
+    def test_matches_reference_lift(self, codes, form):
+        s = codes if form == "list" else (m for m in codes)
+        assert_same_point(decode_point(s), reference_decode_point(codes))
+
+    @pytest.mark.parametrize("depth", [0, 1200])
+    def test_matches_reference_lift_at_fixed_depths(self, depth):
+        codes = [(m * 7919) ** 3 for m in range(depth)]
+        assert_same_point(decode_point(codes), reference_decode_point(codes))
+
+    @pytest.mark.parametrize("bad", [True, -1, 1.5, "3", None])
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    def test_first_bad_code_raises_as_decode(self, bad, position):
+        codes = [5, 17, 10**20, 2, 0, 9, 3, 11]
+        codes[position] = bad
+        # A second bad entry after the first must not be the one reported.
+        codes.append(-2)
+        with pytest.raises(ValueError) as expected:
+            decode(bad)
+        with pytest.raises(ValueError) as got:
+            decode_point(codes)
+        assert str(got.value) == str(expected.value)
+
+    def test_closed_form_appears_once(self):
+        source = Path(codec.__file__).read_text(encoding="utf-8")
+        assert source.count("isqrt(") == 1
+
     def test_pinned_lift(self):
         p = PointPrefix((1, 2), (0, 1), (1, 3))
         assert encode_point(p) == (1, 13)
