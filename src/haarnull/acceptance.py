@@ -50,6 +50,7 @@ from .report import (
 )
 from .witness import (
     DEFICIENCY_LOWER_BOUND,
+    SynthesisTrace,
     is_witness_prefix,
     shift_to_nonpositive,
     synthesize_witness,
@@ -74,6 +75,7 @@ RECURRENCE_SIZES = 10**4
 GAP_SIZES = 20  # triples of sizes 1..20 for separation-gap
 RESTRICT_NORMALIZE_INSTANCES = 100
 RESTRICT_NORMALIZE_DEPTH = 5
+RESTRICT_NORMALIZE_ORACLE_VOLUME = 1000  # largest witness box the oracle enumerates
 CONVOLUTION_PAIRS = 1000
 DEFICIENCY_SEQUENCES = 100
 GRAPH_DATASETS = 100
@@ -163,12 +165,13 @@ def random_cylinder(
 
 def restrict_normalize_instances(
     seed: int, instances: int, max_depth: int
-) -> Iterator[tuple[int, VerificationReport]]:
+) -> Iterator[tuple[int, tuple, VerificationReport]]:
     """Check the flattening identities on random instances of depth <= max_depth.
 
     Each instance draws a spec, synthesizes its witness, and verifies a
     random cylinder set around the witness box (about 3 in 10 of them
-    cut to a random depth).  Yields (index, report) pairs.
+    cut to a random depth).  Yields (index, (shifted spec, trace, cylinder
+    set), report) triples.
     """
     rng = Random(seed)
     for i in range(instances):
@@ -180,7 +183,70 @@ def restrict_normalize_instances(
         shifted, _ = shift_to_nonpositive(spec)
         box = tuple((0, w) for w in trace.witness)
         X = random_cylinder(rng, box[: d if rng.random() < 0.7 else rng.randint(0, d)])
-        yield i, verify_restrict_normalize(shifted, trace, X)
+        yield i, (shifted, trace, X), verify_restrict_normalize(shifted, trace, X)
+
+
+def _explicit_uniform(k: int) -> FiniteMeasureZ:
+    """uniform({0..k}) through the checking constructor, not the builder."""
+    return FiniteMeasureZ(dict.fromkeys(range(k + 1), Fraction(1, k + 1)))
+
+
+def _enumerated_measure(
+    coords: Sequence[FiniteMeasureZ],
+    box: Sequence[tuple[int, int]],
+    X: Optional[CylinderSet] = None,
+) -> Fraction:
+    """Sum of the product of the coordinate masses over the lattice points
+    of the box, or over those that lie in X."""
+    members = None if X is None else set(X.prefixes)
+    total = Fraction(0)
+    for y in lattice_points(box):
+        if members is None or y[: X.depth] in members:
+            mass = Fraction(1)
+            for m, v in zip(coords, y):
+                mass *= m.mass(v)
+            total += mass
+    return total
+
+
+def _restrict_normalize_oracle(
+    mu: ProductMeasureSpec, trace: SynthesisTrace, X: CylinderSet
+) -> Optional[tuple[dict, dict]]:
+    """Both sides of the four flattening identities, recomputed naively.
+
+    nu comes from `convolve_oracle`, the uniform measures from the checking
+    constructor, and every box and cylinder sum from enumerating lattice
+    points, so neither `uniform`, `convolve`, `measure_of` nor
+    `box_intersection_measure` takes part.  Returns (lhs, rhs) keyed
+    as in the verifier's report, or None when the witness box holds more
+    than RESTRICT_NORMALIZE_ORACLE_VOLUME points.
+    """
+    box = tuple((0, w) for w in trace.witness)
+    volume = 1
+    for w in trace.witness:
+        volume *= w + 1
+    if volume > RESTRICT_NORMALIZE_ORACLE_VOLUME:
+        return None
+    flat = [_explicit_uniform(s) for s in trace.sizes]
+    wit = [_explicit_uniform(w) for w in trace.witness]
+    nu = [convolve_oracle(m, u) for m, u in zip(mu.prefix, flat)]
+    scale = trace.scale_partial[-1]
+    nu_xb = _enumerated_measure(nu, box, X)
+    flat_xb = _enumerated_measure(flat, box, X)
+    wit_support = [(m.min_support, m.max_support) for m in wit[: X.depth]]
+    lhs = {
+        "smoothed_equals_flat_on_box": nu_xb,
+        "scaling_recovers_witness": _enumerated_measure(wit, box, X),
+        "flat_box_mass_reciprocal": _enumerated_measure(flat, box),
+        "restrict_normalize_quotient": _enumerated_measure(wit, wit_support, X),
+    }
+    rhs = {
+        "smoothed_equals_flat_on_box": flat_xb,
+        "scaling_recovers_witness": scale * flat_xb,
+        "flat_box_mass_reciprocal": 1 / scale,
+        "restrict_normalize_quotient": nu_xb / _enumerated_measure(nu, box),
+    }
+    return lhs, rhs
 
 
 def convolve_oracle(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
@@ -383,12 +449,28 @@ def _separation_gap(seed: int, budget: int) -> tuple[list[str], str]:
 
 
 def _restrict_normalize(seed: int, budget: int) -> tuple[list[str], str]:
-    for i, report in restrict_normalize_instances(
+    checked = 0
+    for i, instance, report in restrict_normalize_instances(
         seed, RESTRICT_NORMALIZE_INSTANCES, RESTRICT_NORMALIZE_DEPTH
     ):
         if not report.passed:
             return [f"instance {i} fails: {report.counterexample}"], ""
-    return [], f"{RESTRICT_NORMALIZE_INSTANCES} instances verified"
+        sides = _restrict_normalize_oracle(*instance)
+        if sides is None:
+            continue
+        checked += 1
+        lhs, rhs = sides
+        names = [
+            name
+            for name in lhs
+            if report.lhs[name] != lhs[name] or report.rhs[name] != rhs[name]
+        ]
+        if names:
+            return [f"instance {i} disagrees with the enumeration oracle: {names}"], ""
+    return [], (
+        f"{RESTRICT_NORMALIZE_INSTANCES} instances verified, {checked} of them "
+        "against the enumeration oracle"
+    )
 
 
 def _convolution_oracle(seed: int, budget: int) -> tuple[list[str], str]:

@@ -12,17 +12,18 @@ keys sorted), so reruns are byte-identical.
 
 Each command's handler takes the parsed arguments and returns its exit
 code, its JSON value and its text lines; it neither prints nor looks at
---output.  `main` alone picks the format: it dumps the JSON value (Fractions
-as "p/q", tuples as lists) or joins the text lines, and writes the result
-in one piece, so a command that fails writes nothing to stdout.  Rendering
-happens inside the same `try` as the handler, so an integer too long for
-Python to print is an error like any other.  `main` also picks every
-failure's exit code from the exception type: 1 for a `DatasetError` (a
-dataset invariant violation, with the offending line numbers) and for an
-`UnsupportedDepthError`; 2 for any other `ValueError` or an `OSError`:
-usage, syntax or shape errors, input that is not UTF-8, and output
-integers too long for Python to print.  A passing run exits 0, and a
-verified failure or a budget-exceeded check exits 1.
+--output.  A JSON value that costs work to build may come as a zero-argument
+callable returning it, which only a JSON run calls.  `main` alone picks the
+format: it dumps the JSON value (Fractions as "p/q", tuples as lists) or
+joins the text lines, and writes the result in one piece, so a command that
+fails writes nothing to stdout.  Rendering happens inside the same `try` as
+the handler, so an integer too long for Python to print is an error like any
+other.  `main` also picks every failure's exit code from the exception type:
+1 for a `DatasetError` (a dataset invariant violation, with the offending
+line numbers) and for an `UnsupportedDepthError`; 2 for any other
+`ValueError` or an `OSError`: usage, syntax or shape errors, input that is
+not UTF-8, and output integers too long for Python to print.  A passing run
+exits 0, and a verified failure or a budget-exceeded check exits 1.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .witness import is_witness_prefix, synthesize_witness
 
 __all__ = ["main"]
 
-Output = tuple[int, Any, Iterable[str]]  # exit code, JSON value, text lines
+# exit code, JSON value (or a zero-argument callable building it), text lines
+Output = tuple[int, Any, Iterable[str]]
 
 
 def _read_text(path: str) -> str:
@@ -87,6 +89,8 @@ def _read_json(path: str):
 
 
 def _dump(obj) -> str:
+    if callable(obj):
+        obj = obj()
     return json.dumps(jsonify(obj), indent=2, sort_keys=True)
 
 
@@ -151,7 +155,7 @@ def cmd_witness_verify_claim(args) -> Output:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
     failed = [
         (i, report)
-        for i, report in restrict_normalize_instances(
+        for i, _, report in restrict_normalize_instances(
             args.seed, args.instances, max_depth=args.depth
         )
         if not report.passed
@@ -198,12 +202,12 @@ def _load_encoded_set(args) -> EncodedSet:
 
 def cmd_eset_build(args) -> Output:
     es = _load_encoded_set(args)
-    # a generator, so a JSON run never renders the point lines
+    # a generator and a callable, so each run renders only its own format
     lines = chain(
         [f"depth: {es.depth}", f"points: {es.size}"],
         (" ".join(str(v) for v in p) for p in es.points),
     )
-    return 0, encoded_set_to_dict(es), lines
+    return 0, lambda: encoded_set_to_dict(es), lines
 
 
 def cmd_eset_gap(args) -> Output:

@@ -15,6 +15,16 @@ The public `FiniteMeasureZ` constructor checks every point and mass it is
 given.  The builders `uniform`, `dirac`, `convolve` and `translate_measure`
 skip re-checking what holds by construction (integer points, positive
 `Fraction` masses summing to 1) and build through `_trusted_measure`.
+
+The sums run on integers.  Every measure has an integer form `(D, counts)`
+with `weights[z] == Fraction(counts[z], D)` for every point z.  The builders
+know it already and store it with the measure; for a measure from the public
+constructor `_integer_form` derives it from `weights` on each call and does
+not store it.  `convolve`, `interval_mass`, `measure_of` and
+`box_intersection_measure` add and multiply these integers and divide once,
+building one `Fraction` per result (`convolve`: one per distinct mass).  A
+stored form would go stale if `weights` changed, so treat `weights` as
+read-only.
 """
 
 from __future__ import annotations
@@ -87,6 +97,10 @@ class FiniteMeasureZ:
     """
 
     weights: Mapping[int, Fraction]
+    # The integer form, stored by the builders only; see `_integer_form`.
+    # Read through the class so that a public measure's attribute values are
+    # never materialized as an instance dict.
+    _form = None
 
     def __post_init__(self):
         clean: dict[int, Fraction] = {}
@@ -136,23 +150,37 @@ class FiniteMeasureZ:
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         """Total mass of the integer interval [lo, hi]."""
-        inside = [m for z, m in self.weights.items() if lo <= z <= hi]
-        D = _common_denominator(inside)
-        num = 0
-        for m in inside:
-            num += m.numerator * (D // m.denominator)
-        return Fraction(num, D)
+        D, counts = _integer_form(self)
+        return Fraction(sum([c for z, c in counts.items() if lo <= z <= hi]), D)
 
 
-def _trusted_measure(weights: dict[int, Fraction]) -> FiniteMeasureZ:
-    """Wrap a fresh dict that is already in canonical form.
+def _integer_form(m: FiniteMeasureZ) -> tuple[int, dict[int, int]]:
+    """(D, counts) with m.weights[z] == Fraction(counts[z], D) for every z.
+
+    A builder's measure carries the form it was built with.  For a measure
+    from the public constructor the form is derived from `weights`, with D
+    their least common denominator, and is not stored.
+    """
+    form = m._form
+    if form is None:
+        D = _common_denominator(m.weights.values())
+        form = D, {z: w.numerator * (D // w.denominator) for z, w in m.weights.items()}
+    return form
+
+
+def _trusted_measure(
+    weights: dict[int, Fraction], D: int, counts: dict[int, int]
+) -> FiniteMeasureZ:
+    """Wrap a fresh dict that is already in canonical form, with its integer form.
 
     The caller guarantees integer points and positive `Fraction` masses that
-    sum to exactly 1.  Skips `__post_init__`; the result is indistinguishable
-    from FiniteMeasureZ(weights) under ==, hash and repr.
+    sum to exactly 1, and weights[z] == Fraction(counts[z], D) for every z.
+    Skips `__post_init__`; the result is indistinguishable from
+    FiniteMeasureZ(weights) under ==, hash and repr.
     """
     m = object.__new__(FiniteMeasureZ)
     m.__dict__["weights"] = weights
+    m.__dict__["_form"] = D, counts
     return m
 
 
@@ -161,13 +189,16 @@ def uniform(k: int) -> FiniteMeasureZ:
     _check_int(k, "uniform size")
     if k < 0:
         raise ValueError(f"uniform size must be >= 0, got {k}")
-    w = Fraction(1, k + 1)
-    return _trusted_measure(dict.fromkeys(range(k + 1), w))
+    points = range(k + 1)
+    return _trusted_measure(
+        dict.fromkeys(points, Fraction(1, k + 1)), k + 1, dict.fromkeys(points, 1)
+    )
 
 
 def dirac(z: int) -> FiniteMeasureZ:
     """The point mass at z."""
-    return _trusted_measure({_check_int(z, "point"): Fraction(1)})
+    _check_int(z, "point")
+    return _trusted_measure({z: Fraction(1)}, 1, {z: 1})
 
 
 def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
@@ -175,28 +206,35 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
 
     result(z) = sum over x + y = z of p(x) * q(y); the support is the
     Minkowski sum of the two supports and the total mass stays exactly 1.
-    Both operands are scaled to integer weights over their common
-    denominators Dp and Dq, so each output mass is one Fraction(c, Dp * Dq).
-    Every c is a sum of products of positive integers, and the c sum to
-    Dp * Dq, so the result is canonical without a check.
+    With the integer forms (Dp, a) of p and (Dq, b) of q, the result's form
+    is (Dp * Dq, c) with c(z) the integer sum of a(x) * b(y) over x + y = z.
+    Every c is positive and the c sum to Dp * Dq, so the result is canonical
+    without a check.  Points with equal c share one Fraction(c, Dp * Dq),
+    which saves most constructions on the plateau of a convolution with a
+    wide uniform measure.
     """
-    Dp = _common_denominator(p.weights.values())
-    Dq = _common_denominator(q.weights.values())
-    qs = [(y, m.numerator * (Dq // m.denominator)) for y, m in q.weights.items()]
+    Dp, cp = _integer_form(p)
+    Dq, cq = _integer_form(q)
+    qs = list(cq.items())
     out: dict[int, int] = {}
-    for x, m in p.weights.items():
-        a = m.numerator * (Dp // m.denominator)
+    for x, a in cp.items():
         for y, b in qs:
             z = x + y
             out[z] = out.get(z, 0) + a * b
     D = Dp * Dq
-    return _trusted_measure({z: Fraction(c, D) for z, c in out.items()})
+    masses = {c: Fraction(c, D) for c in set(out.values())}
+    return _trusted_measure({z: masses[c] for z, c in out.items()}, D, out)
 
 
 def translate_measure(p: FiniteMeasureZ, shift: int) -> FiniteMeasureZ:
     """Pullback of p under the map X -> X + shift: result(z) = p(z + shift)."""
     _check_int(shift, "shift")
-    return _trusted_measure({z - shift: m for z, m in p.weights.items()})
+    D, counts = _integer_form(p)
+    return _trusted_measure(
+        {z - shift: m for z, m in p.weights.items()},
+        D,
+        {z - shift: c for z, c in counts.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -308,7 +346,11 @@ class CylinderSet:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         canon = set()
         for s in self.prefixes:
-            t = tuple(_check_int(v, "prefix entry") for v in s)
+            # a tuple is kept as given rather than copied: the prefixes are
+            # most of the memory a cylinder set holds
+            t = s if type(s) is tuple else tuple(s)
+            for v in t:
+                _check_int(v, "prefix entry")
             if len(t) != self.depth:
                 raise ValueError(
                     f"prefix {t} has length {len(t)}, expected depth {self.depth}"
@@ -389,16 +431,17 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
             f"cylinder depth {cyl.depth} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    coords = [spec.coordinate(n) for n in range(cyl.depth)]
-    total = Fraction(0)
+    forms = [_integer_form(spec.coordinate(n)) for n in range(cyl.depth)]
+    counts = [c for _, c in forms]
+    num = 0
     for s in cyl.prefixes:
-        f = Fraction(1)
-        for n, v in enumerate(s):
-            f *= coords[n].mass(v)
-            if f == 0:
+        f = 1
+        for c, v in zip(counts, s):
+            f *= c.get(v, 0)
+            if not f:
                 break
-        total += f
-    return total
+        num += f
+    return Fraction(num, _denominator(forms))
 
 
 def support_box(spec: ProductMeasureSpec) -> Box:
@@ -431,26 +474,32 @@ def box_intersection_measure(
             f"box depth {len(box)} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    coords = [spec.coordinate(n) for n in range(len(box))]
-    tail_factor = Fraction(1)
+    forms = [_integer_form(spec.coordinate(n)) for n in range(len(box))]
+    tail_factor = 1
     for n in range(cyl.depth, len(box)):
         lo, hi = box[n]
-        mass = coords[n].interval_mass(lo, hi)
-        if not mass:
+        inside = sum([c for z, c in forms[n][1].items() if lo <= z <= hi])
+        if not inside:
             return Fraction(0)
-        tail_factor *= mass
-    total = None
+        tail_factor *= inside
+    num = 0
     for s in cyl.prefixes:
         f = tail_factor
-        for n, v in enumerate(s):
-            lo, hi = box[n]
-            weights = coords[n].weights
-            if not lo <= v <= hi or v not in weights:
+        for (lo, hi), (_, counts), v in zip(box, forms, s):
+            if not lo <= v <= hi or v not in counts:
                 break
-            f *= weights[v]
+            f *= counts[v]
         else:
-            total = f if total is None else total + f
-    return Fraction(0) if total is None else total
+            num += f
+    return Fraction(num, _denominator(forms))
+
+
+def _denominator(forms) -> int:
+    """Product of the denominators of the given integer forms."""
+    D = 1
+    for d, _ in forms:
+        D *= d
+    return D
 
 
 def lattice_points(box: Box) -> Iterator[tuple[int, ...]]:

@@ -14,12 +14,19 @@ raises.
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from haarnull import acceptance, cli, witness
 from haarnull.acceptance import codec_roundtrip_scan
-from haarnull.measures import dirac, uniform
+from haarnull.measures import (
+    CylinderSet,
+    FiniteMeasureZ,
+    ProductMeasureSpec,
+    dirac,
+    uniform,
+)
 
 
 def check(battery, key, *parameters):
@@ -48,7 +55,13 @@ def test_04_separation_gap_with_tightness(battery):
 
 
 def test_05_restrict_normalize_suite_under_sixty_seconds(battery):
-    check(battery, "restrict-normalize", "100 instances", "(limit 60s)")
+    check(
+        battery,
+        "restrict-normalize",
+        "100 instances",
+        "63 of them against the enumeration oracle",
+        "(limit 60s)",
+    )
 
 
 def test_06_convolution_oracle(battery):
@@ -159,6 +172,54 @@ def prefix_budget_one(monkeypatch):
     monkeypatch.setattr(
         acceptance, "is_witness_prefix", lambda w, X, budget: real(w, X, budget=1)
     )
+
+
+def kernels_drop_the_last_cylinder(monkeypatch):
+    # the verifier's cylinder sums leave out the last prefix of X; the four
+    # identities hold for any X, so only the oracle can see this
+    def dropping(kernel):
+        def wrapped(spec, X, *box):
+            if X.size >= 2:
+                X = CylinderSet(X.depth, X.prefixes[:-1])
+            return kernel(spec, X, *box)
+
+        return wrapped
+
+    for name in ("box_intersection_measure", "measure_of"):
+        monkeypatch.setattr(witness, name, dropping(getattr(witness, name)))
+
+
+class TestRestrictNormalizeOracle:
+    def test_agrees_with_the_verifier_on_the_readme_example(self):
+        spec = ProductMeasureSpec(
+            (FiniteMeasureZ({-1: Fraction(1, 2), 0: Fraction(1, 2)}),)
+        )
+        trace = witness.synthesize_witness(spec)
+        X = CylinderSet(1, ((2,), (7,)))
+        report = witness.verify_restrict_normalize(spec, trace, X)
+        assert acceptance._restrict_normalize_oracle(spec, trace, X) == (
+            report.lhs,
+            report.rhs,
+        )
+
+    def test_skips_boxes_over_the_volume_cap(self):
+        coordinate = FiniteMeasureZ({-3: Fraction(1, 2), 0: Fraction(1, 2)})
+        spec = ProductMeasureSpec((coordinate,) * 3)
+        trace = witness.synthesize_witness(spec)  # witness (9, 21, 45)
+        X = CylinderSet(1, ((0,),))
+        assert acceptance._restrict_normalize_oracle(spec, trace, X) is None
+
+    def test_catches_a_fault_the_identities_miss(self, monkeypatch):
+        kernels_drop_the_last_cylinder(monkeypatch)
+        instances = acceptance.restrict_normalize_instances(1, 20, 3)
+        assert all(report.passed for _, _, report in instances)
+        result = run_only(monkeypatch, "restrict-normalize")
+        assert (result.passed, result.detail) == (
+            False,
+            "instance 0 disagrees with the enumeration oracle: "
+            "['smoothed_equals_flat_on_box', 'scaling_recovers_witness', "
+            "'restrict_normalize_quotient']",
+        )
 
 
 class TestRunner:

@@ -293,6 +293,22 @@ class TestEsetCommands:
         assert code == 0
         assert "points: 2" in out
 
+    def test_build_text_never_builds_the_json_value(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        data = tmp_path / "data.jsonl"
+        data.write_text(GOOD_DATA)
+        built = []
+        real = cli.encoded_set_to_dict
+        monkeypatch.setattr(
+            cli, "encoded_set_to_dict", lambda es: built.append(es) or real(es)
+        )
+        code, out, _ = run(capsys, "eset", "build", str(data))
+        assert (code, out, built) == (0, "depth: 1\npoints: 2\n1\n3\n", [])
+        code, out, _ = run(capsys, "eset", "build", str(data), "--output", "json")
+        assert (code, len(built)) == (0, 1)
+        assert json.loads(out) == {"depth": 1, "points": [[1], [3]]}
+
     def test_gap_pass(self, capsys, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_text(GOOD_DATA)

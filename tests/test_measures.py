@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarnull.acceptance import convolve_oracle
+from haarnull import measures
 from haarnull.measures import (
     CylinderSet,
     FiniteMeasureZ,
@@ -322,6 +323,174 @@ class TestTranslateMeasure:
         assert q.mass(3) == Fraction(2, 3)
 
 
+@st.composite
+def built_measures(draw, depth=2):
+    """A measure from a builder: `uniform`, `dirac`, a tail's `resolve()`,
+    or `convolve` and `translate_measure` applied to built or public ones."""
+    leaf = st.one_of(
+        st.integers(0, 12).map(uniform),
+        st.integers(-6, 6).map(dirac),
+        st.integers(0, 12).map(lambda k: UniformTail(k).resolve()),
+        st.integers(-6, 6).map(lambda z: PointMassTail(z).resolve()),
+    )
+    if depth == 0:
+        return draw(leaf)
+    operand = st.one_of(built_measures(depth - 1), mixed_measures())
+    return draw(
+        st.one_of(
+            leaf,
+            st.builds(convolve, operand, operand),
+            st.builds(translate_measure, operand, st.integers(-9, 9)),
+        )
+    )
+
+
+def assert_form_matches(m):
+    D, counts = measures._integer_form(m)
+    assert counts.keys() == m.weights.keys()
+    assert all(type(c) is int and c > 0 for c in counts.values())
+    assert all(Fraction(counts[z], D) == w for z, w in m.weights.items())
+
+
+class TestIntegerForm:
+    """Every measure has an integer form (D, counts) with weights[z] ==
+    Fraction(counts[z], D); builders store it, the public constructor does
+    not."""
+
+    @given(built_measures())
+    def test_builders_store_a_matching_form(self, m):
+        assert m.__dict__.keys() == {"weights", "_form"}
+        assert m.__dict__["_form"] is measures._integer_form(m)
+        assert_form_matches(m)
+
+    @given(mixed_measures())
+    def test_public_measures_derive_it_and_store_nothing(self, m):
+        assert_form_matches(m)
+        m.interval_mass(-2, 2)
+        convolve(m, m)
+        translate_measure(m, 1)
+        spec = ProductMeasureSpec((m, m))
+        box = support_box(spec)
+        measure_of(spec, CylinderSet.whole_space().expand(box))
+        box_intersection_measure(spec, CylinderSet.whole_space(), box)
+        assert m.__dict__.keys() == {"weights"}
+
+    def test_convolution_shares_one_fraction_per_distinct_mass(self):
+        p = FiniteMeasureZ({-2: Fraction(1, 3), 0: Fraction(2, 3)})
+        got = convolve(p, uniform(20))
+        values = list(got.weights.values())
+        assert all(type(w) is Fraction for w in values)
+        # the plateau 1..20 carries 1/21 at every point, as one object
+        assert len({id(w) for w in values}) == len(set(values)) == 3
+        assert got == convolve_oracle(p, uniform(20))
+        assert_form_matches(got)
+
+    @settings(deadline=None)
+    @given(mixed_measures(), st.integers(0, 200))
+    def test_wide_uniform_convolutions_match_the_oracle(self, p, k):
+        # the convolutions the witness verifier builds, at its widest sizes
+        got = convolve(p, uniform(k))
+        assert got == convolve_oracle(p, uniform(k))
+        assert_form_matches(got)
+
+    def test_common_denominator_only_where_masses_are_arbitrary(self):
+        source = Path(measures.__file__).read_text()
+        # its definition, the constructor's check and `_integer_form`
+        assert source.count("_common_denominator(") == 3
+
+
+@st.composite
+def mixed_specs(draw):
+    """Prefix depth 0-3 of public and built measures, with no tail, a
+    uniform tail or a point-mass tail."""
+    entry = st.one_of(
+        finite_measures(lo=-3, hi=3, max_points=3),
+        built_measures(depth=1).filter(lambda m: len(m.weights) <= 6),
+    )
+    prefix = tuple(draw(entry) for _ in range(draw(st.integers(0, 3))))
+    tail = draw(
+        st.one_of(
+            st.none(),
+            st.integers(0, 2).map(UniformTail),
+            st.integers(-2, 2).map(PointMassTail),
+        )
+    )
+    return ProductMeasureSpec(prefix, tail)
+
+
+class TestIntegerKernelsAgainstEnumeration:
+    """`measure_of` and `box_intersection_measure` on integer forms agree
+    with summing masses over the support lattice."""
+
+    @staticmethod
+    def draw_case(data):
+        spec = data.draw(mixed_specs())
+        deepest = spec.depth + (2 if spec.tail is not None else 0)
+        box_depth = data.draw(st.integers(0, deepest))
+        depth = data.draw(st.integers(0, box_depth))
+        windows = [
+            (spec.coordinate(n).min_support, spec.coordinate(n).max_support)
+            for n in range(box_depth)
+        ]
+        cyl = data.draw(
+            st.lists(
+                st.tuples(
+                    *[st.integers(lo - 1, hi + 1) for lo, hi in windows[:depth]]
+                ),
+                max_size=5,
+            ).map(lambda ps: CylinderSet(depth, tuple(ps)))
+        )
+        # boxes inside, across and outside the support; lo > hi is empty
+        ends = [st.integers(lo - 2, hi + 2) for lo, hi in windows]
+        box = tuple((data.draw(e), data.draw(e)) for e in ends)
+        return spec, cyl, box
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_measure_of(self, data):
+        spec, cyl, _ = self.draw_case(data)
+        got = measure_of(spec, cyl)
+        assert type(got) is Fraction
+        assert got == enumeration_measure(spec, cyl)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_box_intersection_measure(self, data):
+        spec, cyl, box = self.draw_case(data)
+        k = cyl.depth
+        inside = CylinderSet(
+            k,
+            tuple(
+                s
+                for s in cyl.prefixes
+                if all(lo <= v <= hi for v, (lo, hi) in zip(s, box))
+            ),
+        )
+        got = box_intersection_measure(spec, cyl, box)
+        assert type(got) is Fraction
+        assert got == enumeration_measure(spec, inside.expand(box[k:]))
+
+    def test_fixed_cases(self):
+        coin = FiniteMeasureZ({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        spec = ProductMeasureSpec((coin, convolve(coin, uniform(2))), UniformTail(2))
+        whole = CylinderSet.whole_space()
+        assert measure_of(spec, whole) == 1
+        assert measure_of(spec, CylinderSet.empty(0)) == 0
+        assert measure_of(spec, CylinderSet.empty(3)) == 0
+        got = measure_of(spec, CylinderSet(3, ((1, 1, 0), (0, 3, 2))))
+        assert got == Fraction(1, 18) + Fraction(1, 36)
+        # a box that misses the support on a tail coordinate
+        assert box_intersection_measure(spec, whole, ((0, 1), (0, 3), (3, 5))) == 0
+        # a cylinder shallower than the box
+        got = box_intersection_measure(
+            spec, CylinderSet(1, ((1,),)), ((0, 1), (1, 2), (0, 0))
+        )
+        assert got == Fraction(1, 2) * Fraction(4, 6) * Fraction(1, 3)
+        point_tail = ProductMeasureSpec((coin,), PointMassTail(-1))
+        assert box_measure(point_tail, ((1, 1), (-1, -1), (-2, 0))) == Fraction(1, 2)
+        assert box_measure(point_tail, ((0, 1), (0, 4))) == 0
+
+
 class TestProductSpec:
     def test_coordinate_resolution(self):
         spec = ProductMeasureSpec((uniform(1),), UniformTail(2))
@@ -374,6 +543,13 @@ class TestCylinderSet:
         c = CylinderSet(2, ((1, 0), (0, 0), (1, 0)))
         assert c.prefixes == ((0, 0), (1, 0))
         assert c.size == 2
+
+    def test_tuple_prefixes_are_kept_and_others_converted(self):
+        kept = (3, -1)
+        c = CylinderSet(2, (kept, [0, 5], (x for x in (1, 1))))
+        assert c.prefixes == ((0, 5), (1, 1), (3, -1))
+        assert c.prefixes[2] is kept
+        assert all(type(s) is tuple for s in c.prefixes)
 
     def test_depth_checked(self):
         with pytest.raises(ValueError):
