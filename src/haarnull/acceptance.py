@@ -17,6 +17,7 @@ down documented constants.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +36,12 @@ from .measures import (
     CylinderSet,
     FiniteMeasureZ,
     ProductMeasureSpec,
+    box_intersection_measure,
     convolve,
     lattice_points,
     translate_measure,
     uniform,
+    uniform_product_spec,
 )
 from .report import (
     BUDGET_EXCEEDED,
@@ -108,29 +111,25 @@ def _roundtrip_failure(triple: tuple[int, int, int], code: int) -> str:
 
 
 def codec_roundtrip_scan(limit: int) -> tuple[int, Optional[str]]:
-    """Scan both codec directions below `limit`, stopping at the first failure.
+    """Walk the codec's domain triples in lex order, counting them with m,
+    and stop at the first failure or at m = limit.
 
-    Every code m < limit must re-encode to itself after decoding, and every
-    triple whose code is below `limit` must decode back to itself.  Returns
-    the number of triples round-tripped and the failure, or None.
+    The triples are n from 1, b in {0, 1}, z in 0..n+1, and the m-th of them
+    must encode to m while m decodes back to it: one `encode` and one
+    `decode` per code.  A pass says both directions are mutually inverse
+    below `limit` and that `encode` counts the domain up from 0 without a
+    gap.  Returns the number of triples round-tripped before the failure
+    (`limit` on a pass) and the failure, or None.
     """
-    for m in range(limit):
-        t = decode(m)
-        if encode(t.n, t.b, t.z) != m:
-            return 0, _roundtrip_failure(t.as_tuple(), m)
-    triples = 0
-    n = 1
-    while encode(n, 0, 0) < limit:
+    m = 0
+    for n in itertools.count(1):
         for b in (0, 1):
             for z in range(n + 2):
-                code = encode(n, b, z)
-                if code >= limit:
-                    break
-                if decode(code).as_tuple() != (n, b, z):
-                    return triples, _roundtrip_failure((n, b, z), code)
-                triples += 1
-        n += 1
-    return triples, None
+                if m >= limit:
+                    return m, None
+                if encode(n, b, z) != m or decode(m).as_tuple() != (n, b, z):
+                    return m, _roundtrip_failure((n, b, z), m)
+                m += 1
 
 
 def _random_weights(rng: Random, support) -> FiniteMeasureZ:
@@ -467,6 +466,20 @@ def _restrict_normalize(seed: int, budget: int) -> tuple[list[str], str]:
         ]
         if names:
             return [f"instance {i} disagrees with the enumeration oracle: {names}"], ""
+        _, trace, X = instance
+        if X.depth < trace.depth:
+            # The witness box lies inside every support, so only a box past it
+            # has a tail interval of mass 0 for the kernel to get right.
+            *head, w = trace.witness
+            past = tuple((0, v) for v in head) + ((w + 1, w + 1),)
+            wit = [_explicit_uniform(v) for v in trace.witness]
+            got = box_intersection_measure(uniform_product_spec(trace.witness), X, past)
+            want = _enumerated_measure(wit, past, X)
+            if got != want:
+                return [
+                    f"instance {i} measures {got} just past the witness box, "
+                    f"the enumeration oracle {want}"
+                ], ""
     return [], (
         f"{RESTRICT_NORMALIZE_INSTANCES} instances verified, {checked} of them "
         "against the enumeration oracle"

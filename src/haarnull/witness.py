@@ -4,10 +4,13 @@ The pipeline: shift every coordinate measure so its support sits in
 [-radius, 0] with max exactly 0, pick a per-coordinate uniform smoothing
 size larger than twice the radius (with a depth-independent positive lower
 bound on the running product of (1 - radius/(size+1))), and read off the
-witness entries size - radius.  `SynthesisTrace` takes the three given
-columns (shifts, radii, sizes) and derives the other three (the witness
-entries and both partial-product columns) from them once, so no column can
-disagree with another.
+witness entries size - radius.  `synthesize_witness` reads the shifts and
+radii straight off the unshifted measures.  `SynthesisTrace` takes the three
+given columns (shifts, radii, sizes) and derives the other three (the
+witness entries and both partial-product columns) from them once, so no
+column can disagree with another.  Since 1 - radius/(size+1) equals
+(witness+1)/(size+1), each deficiency partial is the reciprocal of the scale
+partial at the same coordinate, and the trace keeps one running product.
 
 `verify_restrict_normalize` checks, as exact rational identities at the
 spec's depth, the facts that make the construction work: convolving the
@@ -83,7 +86,8 @@ class SynthesisTrace:
 
     witness[n]  sizes[n] - radii[n], the synthesized witness entry
     scale_partial[k]       running product of (sizes[n]+1)/(witness[n]+1), n <= k
-    deficiency_partial[k]  running product of (1 - radii[n]/(sizes[n]+1)), n <= k
+    deficiency_partial[k]  running product of (1 - radii[n]/(sizes[n]+1)), n <= k,
+                           which is 1 / scale_partial[k]
 
     The given columns take integers only; nothing is rounded or parsed.  The
     deficiency partials are nonincreasing, and construction rejects sizes
@@ -104,23 +108,22 @@ class SynthesisTrace:
         if not (len(shifts) == len(radii) == len(sizes)):
             raise ValueError("per-coordinate columns have unequal lengths")
         witness, scale, defic = [], [], []
-        running_scale = running_defic = Fraction(1)
+        running = Fraction(1)
         for n, (m, s) in enumerate(zip(radii, sizes)):
             if m < 0:
                 raise ValueError(f"radius {m} at coordinate {n} is negative")
             if s <= 2 * m:
                 raise ValueError(f"size {s} at coordinate {n} is not > 2*{m}")
             w = s - m
-            running_scale *= Fraction(s + 1, w + 1)
-            running_defic *= 1 - Fraction(m, s + 1)
-            if running_defic < DEFICIENCY_LOWER_BOUND:
+            running *= Fraction(s + 1, w + 1)
+            defic.append(1 / running)  # 1 - m/(s+1) = (w+1)/(s+1)
+            if defic[-1] < DEFICIENCY_LOWER_BOUND:
                 raise ValueError(
-                    f"deficiency partial {running_defic} at {n} dips below "
+                    f"deficiency partial {defic[-1]} at {n} dips below "
                     f"{DEFICIENCY_LOWER_BOUND}"
                 )
             witness.append(w)
-            scale.append(running_scale)
-            defic.append(running_defic)
+            scale.append(running)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "sizes", sizes)
@@ -180,12 +183,14 @@ def choose_uniform_sizes(radii: Sequence[int]) -> tuple[int, ...]:
 def synthesize_witness(spec: ProductMeasureSpec) -> SynthesisTrace:
     """Run the full pipeline on a spec with finitely supported coordinates.
 
-    Shifts the prefix coordinates nonpositive, reads off the support radii
-    and applies the size rule; the trace derives the witness entries and
-    both partial-product columns.
+    Reads each prefix coordinate's shift (its support maximum) and radius
+    (support maximum minus minimum) straight off the measure, the columns
+    `shift_to_nonpositive` would give, without translating anything, and
+    applies the size rule; the trace derives the witness entries and both
+    partial-product columns.
     """
-    shifted, shifts = shift_to_nonpositive(spec)
-    radii = tuple(-m.min_support for m in shifted.prefix)
+    shifts = [m.max_support for m in spec.prefix]
+    radii = [m.max_support - m.min_support for m in spec.prefix]
     return SynthesisTrace(shifts, radii, choose_uniform_sizes(radii))
 
 

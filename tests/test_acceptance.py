@@ -12,14 +12,16 @@ through real table entries under injected faults, among them a check that
 raises.
 """
 
+import inspect
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
-from haarnull import acceptance, cli, witness
+from haarnull import acceptance, cli, measures, witness
 from haarnull.acceptance import codec_roundtrip_scan
+from haarnull.codec import CodedTriple
 from haarnull.measures import (
     CylinderSet,
     FiniteMeasureZ,
@@ -80,10 +82,33 @@ def test_09_witness_prefix_oracle(battery):
     check(battery, "witness-prefix-oracle", "50 instances")
 
 
+def decode_off_by_one_at_100(monkeypatch):
+    real = acceptance.decode
+    monkeypatch.setattr(acceptance, "decode", lambda m: real(m + (m == 100)))
+
+
+def decode_aliases_each_upper_half_start(monkeypatch):
+    # the code of (n, 1, 0) decodes to (n, 0, n + 2), outside the domain,
+    # which encodes back to the same code
+    real = acceptance.decode
+
+    def decode(m):
+        t = real(m)
+        return CodedTriple(t.n, 0, t.n + 2) if (t.b, t.z) == (1, 0) else t
+
+    monkeypatch.setattr(acceptance, "decode", decode)
+
+
+def encode_halves_swapped(monkeypatch):
+    real = acceptance.encode
+    monkeypatch.setattr(acceptance, "encode", lambda n, b, z: real(n, 1 - b, z))
+
+
 class TestCodecRoundtripScan:
     def test_counts_triples(self):
-        assert codec_roundtrip_scan(1) == (1, None)
-        assert codec_roundtrip_scan(200) == (200, None)
+        # 1 and the edges of the first two blocks (codes 0..5 and 6..13)
+        for limit in (1, 6, 7, 14, 15, 200):
+            assert codec_roundtrip_scan(limit) == (limit, None)
 
     def test_stops_at_the_first_failure(self, monkeypatch):
         # codes 100 and 300 decode to the next triple; only 100 is reported
@@ -91,9 +116,32 @@ class TestCodecRoundtripScan:
         monkeypatch.setattr(
             acceptance, "decode", lambda m: real(m + 1 if m in (100, 300) else m)
         )
-        wrong = real(101).as_tuple()
-        want = f"triple {wrong} encodes to 101, code 100 decodes to {wrong}"
-        assert codec_roundtrip_scan(1000) == (0, want)
+        want = "triple (8, 1, 6) encodes to 100, code 100 decodes to (8, 1, 7)"
+        assert codec_roundtrip_scan(1000) == (100, want)
+
+    @pytest.mark.parametrize(
+        "fault, checked, failure",
+        [
+            (
+                decode_off_by_one_at_100,
+                100,
+                "triple (8, 1, 6) encodes to 100, code 100 decodes to (8, 1, 7)",
+            ),
+            (
+                decode_aliases_each_upper_half_start,
+                3,
+                "triple (1, 1, 0) encodes to 3, code 3 decodes to (1, 0, 3)",
+            ),
+            (
+                encode_halves_swapped,
+                0,
+                "triple (1, 0, 0) encodes to 3, code 0 decodes to (1, 0, 0)",
+            ),
+        ],
+    )
+    def test_a_codec_fault_fails_the_walk(self, monkeypatch, fault, checked, failure):
+        fault(monkeypatch)
+        assert codec_roundtrip_scan(1000) == (checked, failure)
 
 
 RAISED = "raised ValueError: deficiency partial 4/9 at 1 dips below 57/100"
@@ -189,6 +237,19 @@ def kernels_drop_the_last_cylinder(monkeypatch):
         monkeypatch.setattr(witness, name, dropping(getattr(witness, name)))
 
 
+def zero_tail_interval_skipped(monkeypatch):
+    # box_intersection_measure goes on past a tail interval that holds no
+    # mass instead of returning 0: the one-line mutant, compiled from source
+    source = inspect.getsource(measures.box_intersection_measure)
+    assert source.count("return Fraction(0)") == 1
+    namespace = dict(vars(measures))
+    exec(source.replace("return Fraction(0)", "continue"), namespace)
+    for module in (measures, witness, acceptance):
+        monkeypatch.setattr(
+            module, "box_intersection_measure", namespace["box_intersection_measure"]
+        )
+
+
 class TestRestrictNormalizeOracle:
     def test_agrees_with_the_verifier_on_the_readme_example(self):
         spec = ProductMeasureSpec(
@@ -219,6 +280,15 @@ class TestRestrictNormalizeOracle:
             "instance 0 disagrees with the enumeration oracle: "
             "['smoothed_equals_flat_on_box', 'scaling_recovers_witness', "
             "'restrict_normalize_quotient']",
+        )
+
+    def test_catches_a_kernel_that_skips_a_zero_tail_interval(self, monkeypatch):
+        zero_tail_interval_skipped(monkeypatch)
+        result = run_only(monkeypatch, "restrict-normalize")
+        assert (result.passed, result.detail) == (
+            False,
+            "instance 8 measures 1/2 just past the witness box, "
+            "the enumeration oracle 0",
         )
 
 

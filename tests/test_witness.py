@@ -15,9 +15,13 @@ from haarnull.measures import (
     ProductMeasureSpec,
     UniformTail,
     UnsupportedDepthError,
+    convolve,
+    dirac,
     lattice_points,
     measure_of,
+    translate_measure,
     translate_set,
+    uniform,
     uniform_product_spec,
 )
 from haarnull.report import (
@@ -57,6 +61,28 @@ def specs(draw, max_depth=4):
     return ProductMeasureSpec(
         tuple(draw(coordinate_measures()) for _ in range(depth))
     )
+
+
+@st.composite
+def tailed_specs(draw, max_depth=4):
+    """Specs of depth 0 and up whose prefix mixes public measures with built
+    ones (`uniform`, `dirac`, `translate_measure`, `convolve`), with or
+    without a tail."""
+    public = coordinate_measures()
+    coordinate = st.one_of(
+        public,
+        st.integers(0, 6).map(uniform),
+        st.integers(-4, 4).map(dirac),
+        st.builds(translate_measure, public, st.integers(-5, 5)),
+        st.builds(convolve, public, public),
+    )
+    tail = st.one_of(
+        st.none(),
+        st.integers(0, 3).map(UniformTail),
+        st.integers(-3, 3).map(PointMassTail),
+    )
+    prefix = draw(st.lists(coordinate, max_size=max_depth))
+    return ProductMeasureSpec(tuple(prefix), draw(tail))
 
 
 def coin_at(offset):
@@ -154,6 +180,15 @@ class TestSynthesize:
         for n in range(1, d):
             assert trace.deficiency_partial[n] <= trace.deficiency_partial[n - 1]
         assert trace.deficiency_partial[-1] >= DEFICIENCY_LOWER_BOUND
+
+    @given(tailed_specs())
+    def test_columns_match_the_shifted_spec(self, spec):
+        shifted, shifts = shift_to_nonpositive(spec)
+        radii = [-m.min_support for m in shifted.prefix]
+        trace = synthesize_witness(spec)
+        assert trace == SynthesisTrace(shifts, radii, choose_uniform_sizes(radii))
+        for scale, deficiency in zip(trace.scale_partial, trace.deficiency_partial):
+            assert scale * deficiency == 1
 
     def test_constructor_rejects_inconsistent_columns(self):
         good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
