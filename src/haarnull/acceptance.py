@@ -2,7 +2,7 @@
 
 `CRITERIA` is the battery, one entry per criterion: its key, its
 description, its check, and its wall-clock limit in seconds (or None).  A
-check is a private function `(seed, budget) -> (failures, detail)` that
+check is a private function `(seed) -> (failures, detail)` that
 runs at the release parameters, the module constants below.  `run_all` is
 the one runner.  It gives the check at position i (counting from 1) the
 seed `seed * 1_000_003 + i`, so the whole battery is reproducible from one
@@ -390,13 +390,13 @@ def _witness_prefix_oracle(
 # may extend) and the detail it reports when there are none.
 
 
-def _codec_roundtrip(seed: int, budget: int) -> tuple[list[str], str]:
+def _codec_roundtrip(seed: int) -> tuple[list[str], str]:
     triples, failure = codec_roundtrip_scan(CODEC_CODES)
     detail = f"{CODEC_CODES} codes and {triples} triples round-tripped"
     return [failure] if failure else [], detail
 
 
-def _order_isomorphism(seed: int, budget: int) -> tuple[list[str], str]:
+def _order_isomorphism(seed: int) -> tuple[list[str], str]:
     prev = decode(0).as_tuple()
     for m in range(1, CODEC_CODES):
         cur = decode(m).as_tuple()
@@ -406,7 +406,7 @@ def _order_isomorphism(seed: int, budget: int) -> tuple[list[str], str]:
     return [], f"decode strictly increasing on the first {CODEC_CODES} codes"
 
 
-def _coding_recurrences(seed: int, budget: int) -> tuple[list[str], str]:
+def _coding_recurrences(seed: int) -> tuple[list[str], str]:
     failures = []
     for n in range(1, RECURRENCE_SIZES + 1):
         if encode(n, 1, 0) != encode(n, 0, 0) + (n + 2):
@@ -418,7 +418,7 @@ def _coding_recurrences(seed: int, budget: int) -> tuple[list[str], str]:
     return failures, f"both recurrences hold for sizes 1..{RECURRENCE_SIZES}"
 
 
-def _separation_gap(seed: int, budget: int) -> tuple[list[str], str]:
+def _separation_gap(seed: int) -> tuple[list[str], str]:
     failures = []
     triples = [
         decode(encode(n, b, z))
@@ -447,7 +447,7 @@ def _separation_gap(seed: int, budget: int) -> tuple[list[str], str]:
     return failures, f"{pairs} cross-cell pairs checked, {tight} attain the bound"
 
 
-def _restrict_normalize(seed: int, budget: int) -> tuple[list[str], str]:
+def _restrict_normalize(seed: int) -> tuple[list[str], str]:
     checked = 0
     for i, instance, report in restrict_normalize_instances(
         seed, RESTRICT_NORMALIZE_INSTANCES, RESTRICT_NORMALIZE_DEPTH
@@ -486,7 +486,7 @@ def _restrict_normalize(seed: int, budget: int) -> tuple[list[str], str]:
     )
 
 
-def _convolution_oracle(seed: int, budget: int) -> tuple[list[str], str]:
+def _convolution_oracle(seed: int) -> tuple[list[str], str]:
     failures = []
     fixed = convolve(uniform(1), uniform(1))
     want = FiniteMeasureZ({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
@@ -506,7 +506,7 @@ def _convolution_oracle(seed: int, budget: int) -> tuple[list[str], str]:
     return failures, f"{CONVOLUTION_PAIRS} random pairs agree; coin + coin pinned"
 
 
-def _deficiency_bound(seed: int, budget: int) -> tuple[list[str], str]:
+def _deficiency_bound(seed: int) -> tuple[list[str], str]:
     failures = []
     dyadic = [Fraction(1)]  # dyadic[k] is the product of 1 - 2^-(n+2) over n < k
     for n in range(41):
@@ -539,7 +539,7 @@ def _deficiency_bound(seed: int, budget: int) -> tuple[list[str], str]:
     )
 
 
-def _encoded_set_checks(seed: int, budget: int) -> tuple[list[str], str]:
+def _encoded_set_checks(seed: int) -> tuple[list[str], str]:
     """Both checkers pass random valid datasets and fail a boundary control;
     the closed-form coin-flip bound agrees with the translate search oracle
     on status, lex-least translate and hits."""
@@ -554,14 +554,14 @@ def _encoded_set_checks(seed: int, budget: int) -> tuple[list[str], str]:
         if gap.parameters["undecidable_pairs"]:
             failures.append(f"dataset {i} has undecidable pairs")
             break
-        flip = coinflip_bound(es, budget=budget)
+        flip = coinflip_bound(es, budget=DEFAULT_BUDGET)
         if flip.status != gap.status:
             failures.append(
                 f"dataset {i}: checkers disagree "
                 f"({gap.status} vs {flip.status}): {flip.counterexample}"
             )
             break
-        mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(es, budget))
+        mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(es))
         if mismatch:
             failures.append(f"dataset {i}: {mismatch}")
             break
@@ -571,10 +571,10 @@ def _encoded_set_checks(seed: int, budget: int) -> tuple[list[str], str]:
     )
     if check_pairwise_gap(control).status != FAIL:
         failures.append("boundary control passes the gap check")
-    flip = coinflip_bound(control, budget=budget)
+    flip = coinflip_bound(control, budget=DEFAULT_BUDGET)
     if flip.status != FAIL:
         failures.append("boundary control passes the coin-flip bound")
-    mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(control, budget))
+    mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(control))
     if mismatch:
         failures.append(f"boundary control: {mismatch}")
     return failures, (
@@ -582,13 +582,13 @@ def _encoded_set_checks(seed: int, budget: int) -> tuple[list[str], str]:
     )
 
 
-def _witness_prefix_agreement(seed: int, budget: int) -> tuple[list[str], str]:
+def _witness_prefix_agreement(seed: int) -> tuple[list[str], str]:
     failures = []
     rng = Random(seed)
     for i in range(PREFIX_INSTANCES):
         wit = tuple(rng.randint(1, 3) for _ in range(3))
         X = random_cylinder(rng, tuple((0, w) for w in wit), max_prefixes=4)
-        report = is_witness_prefix(wit, X, budget=budget)
+        report = is_witness_prefix(wit, X, budget=DEFAULT_BUDGET)
         expected = _witness_prefix_oracle(wit, X)
         if expected is None:
             if report.status != PASS:
@@ -603,7 +603,7 @@ def _witness_prefix_agreement(seed: int, budget: int) -> tuple[list[str], str]:
                     f"closed form reports {report.counterexample}"
                 )
                 break
-    empty = is_witness_prefix((1, 1, 1), CylinderSet.empty(3), budget=budget)
+    empty = is_witness_prefix((1, 1, 1), CylinderSet.empty(3), budget=DEFAULT_BUDGET)
     if not empty.passed:
         failures.append("empty set does not pass")
     capped = is_witness_prefix((1, 1, 1), CylinderSet(3, ((0, 0, 0),)), budget=1)
@@ -638,15 +638,14 @@ CRITERIA: tuple[tuple[str, str, Callable, Optional[float]], ...] = (
 )
 
 
-def run_all(seed: int = 42, budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
+def run_all(seed: int = 42) -> list[CriterionResult]:
     """Run every check of `CRITERIA` once, timed, with its derived seed; a
     check that raises fails, and the rest still run."""
-    check_budget(budget)
     results = []
     for i, (key, description, check, time_limit) in enumerate(CRITERIA, start=1):
         started = time.perf_counter()
         try:
-            failures, detail = check(seed * 1_000_003 + i, budget)
+            failures, detail = check(seed * 1_000_003 + i)
         except Exception as exc:  # a fault in one check must not stop the rest
             failures, detail = [f"raised {type(exc).__name__}: {exc}"], ""
         elapsed = time.perf_counter() - started

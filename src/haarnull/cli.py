@@ -22,14 +22,16 @@ other.  `main` also picks every failure's exit code from the exception type:
 1 for a `DatasetError` (a dataset invariant violation, with the offending
 line numbers) and for an `UnsupportedDepthError`; 2 for any other
 `ValueError` or an `OSError`: usage, syntax or shape errors, input that is
-not UTF-8, and output integers too long for Python to print.  A passing run
-exits 0, and a verified failure or a budget-exceeded check exits 1.
+not UTF-8, output integers too long for Python to print, and a stdout
+closed before the output is written.  A passing run exits 0, and a verified
+failure or a budget-exceeded check exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
@@ -220,11 +222,11 @@ def cmd_eset_coinflip(args) -> Output:
 
 
 def cmd_eset_acceptance(args) -> Output:
-    results = run_all(seed=args.seed, budget=args.budget)
+    results = run_all(seed=args.seed)
     ok = all(r.passed for r in results)
     value = {
         "seed": args.seed,
-        "budget": args.budget,
+        "budget": DEFAULT_BUDGET,
         "status": "pass" if ok else "fail",
         "criteria": [
             {"key": r.key, "description": r.description, "status": r.status.lower()}
@@ -329,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         eset_sub, "acceptance", cmd_eset_acceptance, "run the full acceptance battery"
     )
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     return parser
 
@@ -350,8 +351,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         code, message = 2, f"error: {exc}"
     else:
-        print(text)
-        return code
+        try:
+            print(text)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError as exc:
+            # the interpreter flushes stdout again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code, message = 2, f"error: {exc}"
     print(message, file=sys.stderr)
     return code
 

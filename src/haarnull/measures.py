@@ -16,15 +16,15 @@ given.  The builders `uniform`, `dirac`, `convolve` and `translate_measure`
 skip re-checking what holds by construction (integer points, positive
 `Fraction` masses summing to 1) and build through `_trusted_measure`.
 
-The sums run on integers.  Every measure has an integer form `(D, counts)`
-with `weights[z] == Fraction(counts[z], D)` for every point z.  The builders
-know it already and store it with the measure; for a measure from the public
-constructor `_integer_form` derives it from `weights` on each call and does
-not store it.  `convolve`, `interval_mass`, `measure_of` and
-`box_intersection_measure` add and multiply these integers and divide once,
-building one `Fraction` per result (`convolve`: one per distinct mass).  A
-stored form would go stale if `weights` changed, so treat `weights` as
-read-only.
+The sums run on integers.  Every measure stores its integer form
+`_form = (D, counts)`, with `weights[z] == Fraction(counts[z], D)` for every
+point z: the public constructor keeps the one it builds to check the total
+mass, and the builders store the one they know already.  `convolve`,
+`interval_mass`, `measure_of` and `box_intersection_measure` add and
+multiply these integers and divide once, building one `Fraction` per result
+(`convolve`: one per distinct mass); `translate_measure` shifts the form
+with the points.  The stored form would go stale if `weights` changed, so
+treat `weights` as read-only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iter_product
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -70,37 +70,24 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-def _common_denominator(masses) -> int:
-    """Least common multiple of the denominators of the given Fractions.
-
-    Scaling each mass m by D gives the integer m.numerator * (D // m.denominator),
-    so sums of masses become integer sums with one division at the end.
-    """
-    D = 1
-    for m in masses:
-        D = lcm(D, m.denominator)
-    return D
-
-
 @dataclass(frozen=True)
 class FiniteMeasureZ:
     """A probability measure on Z with finite support.
 
     Canonical form: zero-mass points are dropped, every remaining mass is a
     positive `Fraction`, and the masses sum to exactly 1.  The support is the
-    key set of `weights`; treat the mapping as read-only.
+    key set of `weights`.
 
     The constructor takes integer points and `int` or `Fraction` masses and
     checks all of the above.  Measures built by `uniform`, `dirac`,
     `convolve` and `translate_measure` are canonical by construction and
-    skip the checks.
+    skip the checks.  Every measure also stores its integer form `_form =
+    (D, counts)`, which no kernel re-derives, so treat `weights` as
+    read-only.  The constructor's D is the least common denominator of the
+    masses.
     """
 
     weights: Mapping[int, Fraction]
-    # The integer form, stored by the builders only; see `_integer_form`.
-    # Read through the class so that a public measure's attribute values are
-    # never materialized as an instance dict.
-    _form = None
 
     def __post_init__(self):
         clean: dict[int, Fraction] = {}
@@ -120,15 +107,17 @@ class FiniteMeasureZ:
                 clean[point] = mass
         if not clean:
             raise ValueError("a probability measure needs nonempty support")
-        D = _common_denominator(clean.values())
-        num = 0
+        D = 1
         for m in clean.values():
-            num += m.numerator * (D // m.denominator)
+            D = lcm(D, m.denominator)
+        counts = {z: m.numerator * (D // m.denominator) for z, m in clean.items()}
+        num = sum(counts.values())
         if num != D:
             raise ValueError(
                 f"total mass is {Fraction(num, D)}, expected exactly 1"
             )
         object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "_form", (D, counts))
 
     def __hash__(self):
         return hash(tuple(sorted(self.weights.items())))
@@ -150,22 +139,8 @@ class FiniteMeasureZ:
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         """Total mass of the integer interval [lo, hi]."""
-        D, counts = _integer_form(self)
+        D, counts = self._form
         return Fraction(sum([c for z, c in counts.items() if lo <= z <= hi]), D)
-
-
-def _integer_form(m: FiniteMeasureZ) -> tuple[int, dict[int, int]]:
-    """(D, counts) with m.weights[z] == Fraction(counts[z], D) for every z.
-
-    A builder's measure carries the form it was built with.  For a measure
-    from the public constructor the form is derived from `weights`, with D
-    their least common denominator, and is not stored.
-    """
-    form = m._form
-    if form is None:
-        D = _common_denominator(m.weights.values())
-        form = D, {z: w.numerator * (D // w.denominator) for z, w in m.weights.items()}
-    return form
 
 
 def _trusted_measure(
@@ -213,8 +188,8 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
     which saves most constructions on the plateau of a convolution with a
     wide uniform measure.
     """
-    Dp, cp = _integer_form(p)
-    Dq, cq = _integer_form(q)
+    Dp, cp = p._form
+    Dq, cq = q._form
     qs = list(cq.items())
     out: dict[int, int] = {}
     for x, a in cp.items():
@@ -229,7 +204,7 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
 def translate_measure(p: FiniteMeasureZ, shift: int) -> FiniteMeasureZ:
     """Pullback of p under the map X -> X + shift: result(z) = p(z + shift)."""
     _check_int(shift, "shift")
-    D, counts = _integer_form(p)
+    D, counts = p._form
     return _trusted_measure(
         {z - shift: m for z, m in p.weights.items()},
         D,
@@ -431,7 +406,7 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
             f"cylinder depth {cyl.depth} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    forms = [_integer_form(spec.coordinate(n)) for n in range(cyl.depth)]
+    forms = [spec.coordinate(n)._form for n in range(cyl.depth)]
     counts = [c for _, c in forms]
     num = 0
     for s in cyl.prefixes:
@@ -441,7 +416,7 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
             if not f:
                 break
         num += f
-    return Fraction(num, _denominator(forms))
+    return Fraction(num, prod([D for D, _ in forms]))
 
 
 def support_box(spec: ProductMeasureSpec) -> Box:
@@ -474,7 +449,7 @@ def box_intersection_measure(
             f"box depth {len(box)} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    forms = [_integer_form(spec.coordinate(n)) for n in range(len(box))]
+    forms = [spec.coordinate(n)._form for n in range(len(box))]
     tail_factor = 1
     for n in range(cyl.depth, len(box)):
         lo, hi = box[n]
@@ -491,15 +466,7 @@ def box_intersection_measure(
             f *= counts[v]
         else:
             num += f
-    return Fraction(num, _denominator(forms))
-
-
-def _denominator(forms) -> int:
-    """Product of the denominators of the given integer forms."""
-    D = 1
-    for d, _ in forms:
-        D *= d
-    return D
+    return Fraction(num, prod([D for D, _ in forms]))
 
 
 def lattice_points(box: Box) -> Iterator[tuple[int, ...]]:

@@ -2,9 +2,10 @@
 
 Rationals travel as "p/q" strings so every value survives a round trip
 exactly.  Integers are accepted on input wherever a rational is expected.
-Parsing is strict: no JSON object may repeat a key, integer fields must be
-JSON integers (no floats, booleans or strings), support points must be
-canonical decimal keys, and every malformed shape raises `ValueError`.
+Parsing is strict: no JSON object may repeat a key or carry a field the
+format does not define, integer fields must be JSON integers (no floats,
+booleans or strings), support points must be canonical decimal keys, and
+every malformed shape raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -116,6 +117,12 @@ def jsonify(obj: Any) -> Any:
     return obj
 
 
+def _no_unknown_fields(d: dict, fields: set) -> None:
+    extra = sorted(set(d) - fields)
+    if extra:
+        raise ValueError(f"unknown fields: {', '.join(extra)}")
+
+
 def _list(value, what: str):
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list, got {value!r}")
@@ -144,6 +151,7 @@ def measure_to_dict(m: FiniteMeasureZ) -> dict:
 def measure_from_dict(d: dict) -> FiniteMeasureZ:
     if not isinstance(d, dict) or "weights" not in d:
         raise ValueError("measure object needs a 'weights' mapping")
+    _no_unknown_fields(d, {"weights"})
     weights = d["weights"]
     if not isinstance(weights, dict):
         raise ValueError("'weights' must map integer points to rationals")
@@ -171,6 +179,7 @@ def _tail_from_dict(d) -> TailPolicy:
     key = "k" if kind == "uniform" else "z"
     if key not in d:
         raise ValueError(f'{kind} tail needs a "{key}" field')
+    _no_unknown_fields(d, {"kind", key})
     return UniformTail(d["k"]) if kind == "uniform" else PointMassTail(d["z"])
 
 
@@ -184,6 +193,7 @@ def spec_to_dict(spec: ProductMeasureSpec) -> dict:
 def spec_from_dict(d: dict) -> ProductMeasureSpec:
     if not isinstance(d, dict) or "prefix" not in d:
         raise ValueError("spec object needs a 'prefix' list")
+    _no_unknown_fields(d, {"prefix", "tail"})
     prefix = tuple(measure_from_dict(m) for m in _list(d["prefix"], "'prefix'"))
     return ProductMeasureSpec(prefix, _tail_from_dict(d.get("tail")))
 
@@ -195,5 +205,6 @@ def cylinder_to_dict(cyl: CylinderSet) -> dict:
 def cylinder_from_dict(d: dict) -> CylinderSet:
     if not isinstance(d, dict) or "depth" not in d or "prefixes" not in d:
         raise ValueError("cylinder object needs 'depth' and 'prefixes'")
+    _no_unknown_fields(d, {"depth", "prefixes"})
     prefixes = _list(d["prefixes"], "'prefixes'")
     return CylinderSet(d["depth"], tuple(tuple(_list(s, "prefix")) for s in prefixes))

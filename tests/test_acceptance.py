@@ -147,7 +147,7 @@ class TestCodecRoundtripScan:
 RAISED = "raised ValueError: deficiency partial 4/9 at 1 dips below 57/100"
 
 
-def stub(seed, budget):
+def stub(seed):
     return [], "stub detail"
 
 
@@ -302,7 +302,7 @@ class TestRunner:
         assert (free.passed, free.detail) == (True, "stub detail")
 
     def test_keeps_the_first_three_failures(self, monkeypatch):
-        def failing(seed, budget):
+        def failing(seed):
             return ["a", "b", "c", "d"], "unused"
 
         monkeypatch.setattr(acceptance, "CRITERIA", (("bad", "a stub", failing, None),))
@@ -312,23 +312,14 @@ class TestRunner:
     def test_derived_seeds(self, monkeypatch):
         seen = []
 
-        def record(seed, budget):
-            seen.append((seed, budget))
+        def record(seed):
+            seen.append(seed)
             return [], ""
 
         table = tuple((k, d, record, t) for k, d, _, t in acceptance.CRITERIA)
         monkeypatch.setattr(acceptance, "CRITERIA", table)
-        acceptance.run_all(seed=7, budget=5)
-        assert seen == [(7 * 1_000_003 + i, 5) for i in range(1, 10)]
-
-    @pytest.mark.parametrize("budget", [0, -3, True, 1.0, 2.5, "10"])
-    def test_budget_checked_before_any_check(self, monkeypatch, budget):
-        def never(seed, budget):
-            raise AssertionError("a check ran")
-
-        monkeypatch.setattr(acceptance, "CRITERIA", (("never", "a stub", never, None),))
-        with pytest.raises(ValueError, match="^budget must be "):
-            acceptance.run_all(budget=budget)
+        acceptance.run_all(seed=7)
+        assert seen == [7 * 1_000_003 + i for i in range(1, 10)]
 
     @pytest.mark.parametrize("key", ["restrict-normalize", "deficiency-bound"])
     def test_a_raising_check_fails_with_the_exception(self, monkeypatch, key):

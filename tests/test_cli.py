@@ -12,7 +12,6 @@ import pytest
 from haarnull import acceptance, cli
 from haarnull.acceptance import CriterionResult
 from haarnull.cli import main
-from haarnull.report import DEFAULT_BUDGET
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,7 +70,7 @@ class TestCodecCommands:
             acceptance, "decode", lambda m: real(m + 1) if m == 100 else real(m)
         )
         (check,) = [c for k, _, c, _ in acceptance.CRITERIA if k == "codec-roundtrip"]
-        (expected,), _ = check(0, DEFAULT_BUDGET)  # the fault stops it at code 100
+        (expected,), _ = check(0)  # the fault stops it at code 100
         assert expected.startswith("triple ")
         code, out, _ = run(
             capsys, "codec", "roundtrip", "--max", "1000", "--output", "json"
@@ -704,6 +703,52 @@ class TestExitCodes:
                 "error: invalid JSON: maximum recursion depth exceeded",
             ),
             (
+                ["witness", "synth", "{spec}", "--depth", "3"],
+                {
+                    "spec": json.dumps(
+                        {
+                            "prefix": SPEC_JSON["prefix"],
+                            "tial": {"kind": "uniform", "k": 1},
+                        }
+                    )
+                },
+                2,
+                "error: unknown fields: tial",
+            ),
+            (
+                ["witness", "synth", "{spec}"],
+                {
+                    "spec": spec_with(
+                        prefix=[{"weights": {"0": "1"}, "wieghts": {"1": "1"}}]
+                    )
+                },
+                2,
+                "error: unknown fields: wieghts",
+            ),
+            (
+                ["witness", "synth", "{spec}"],
+                {"spec": spec_with(tail={"kind": "uniform", "k": 1, "z": 5})},
+                2,
+                "error: unknown fields: z",
+            ),
+            (
+                ["witness", "synth", "{spec}"],
+                {"spec": spec_with(tail={"kind": "point", "z": 0, "k": 1})},
+                2,
+                "error: unknown fields: k",
+            ),
+            (
+                ["witness", "check-prefix", "{witness}", "{cylinder}"],
+                {
+                    "witness": WITNESS_OK,
+                    "cylinder": json.dumps(
+                        {"depth": 1, "prefixes": [[0]], "b": 1, "a": 2}
+                    ),
+                },
+                2,
+                "error: unknown fields: a, b",
+            ),
+            (
                 ["eset", "gap", "{data}"],
                 {"data": GOOD_DATA + "[" * 100_000 + "\n"},
                 2,
@@ -725,6 +770,11 @@ class TestExitCodes:
             "encoded-not-utf8",
             "cylinder-not-utf8",
             "spec-nested-too-deep",
+            "spec-unknown-field",
+            "measure-unknown-field",
+            "uniform-tail-unknown-field",
+            "point-tail-unknown-field",
+            "cylinder-unknown-fields",
             "graph-data-nested-too-deep",
         ],
     )
@@ -793,6 +843,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
 
+    def test_closed_stdout_exits_2_without_a_traceback(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text(
+            "".join(
+                json.dumps({"a": [i // 2 + 1], "x": [i % 2], "g": [0]}) + "\n"
+                for i in range(20_000)
+            )
+        )
+        argv = ["eset", "build", str(data), "--output", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "haarnull.cli", *argv],
+            env=subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()  # far more output is pending than a pipe holds
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        assert err == "error: [Errno 32] Broken pipe\n"
+
 
 def subprocess_env():
     env = dict(os.environ)
@@ -834,8 +906,8 @@ class TestStdinBytes:
 
 class TestAcceptanceCommand:
     def test_full_battery(self, capsys, monkeypatch, battery):
-        def reuse_session_battery(seed, budget):
-            assert (seed, budget) == (42, DEFAULT_BUDGET)
+        def reuse_session_battery(seed):
+            assert seed == 42
             return battery
 
         monkeypatch.setattr(cli, "run_all", reuse_session_battery)
@@ -844,22 +916,22 @@ class TestAcceptanceCommand:
         assert "9/9 criteria passed" in out
         assert out.count("[PASS]") == 9
 
-    def test_budget_below_one_runs_nothing(self, capsys, monkeypatch):
+    def test_budget_is_a_usage_error(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a criterion ran")
 
         table = tuple((k, d, never, t) for k, d, _, t in acceptance.CRITERIA)
         monkeypatch.setattr(acceptance, "CRITERIA", table)
-        code, out, err = run(capsys, "eset", "acceptance", "--budget", "0")
+        code, out, err = run(capsys, "eset", "acceptance", "--budget", "5")
         assert (code, out) == (2, "")
-        assert err == "error: budget must be >= 1, got 0\n"
+        assert err.endswith("error: unrecognized arguments: --budget 5\n")
 
     def test_failing_criterion(self, capsys, monkeypatch):
         results = [
             CriterionResult("one", "first", True, "fine", 0.25),
             CriterionResult("two", "second", False, "broken", 0.5),
         ]
-        monkeypatch.setattr(cli, "run_all", lambda seed, budget: results)
+        monkeypatch.setattr(cli, "run_all", lambda seed: results)
         code, out, _ = run(capsys, "eset", "acceptance", "--output", "json")
         assert code == 1
         data = json.loads(out)
@@ -914,7 +986,7 @@ class TestOutputPath:
     @pytest.mark.parametrize("command", sorted(LEAF_RUNS), ids="-".join)
     def test_text_and_json_agree(self, capsys, monkeypatch, tmp_path, command):
         results = [CriterionResult("one", "first", True, "fine", 0.25)]
-        monkeypatch.setattr(cli, "run_all", lambda seed, budget: results)
+        monkeypatch.setattr(cli, "run_all", lambda seed: results)
         paths = {}
         for name, content in LEAF_FILES.items():
             paths[name] = tmp_path / f"{name}.json"

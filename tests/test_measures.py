@@ -346,34 +346,42 @@ def built_measures(draw, depth=2):
 
 
 def assert_form_matches(m):
-    D, counts = measures._integer_form(m)
+    D, counts = m._form
     assert counts.keys() == m.weights.keys()
     assert all(type(c) is int and c > 0 for c in counts.values())
     assert all(Fraction(counts[z], D) == w for z, w in m.weights.items())
 
 
 class TestIntegerForm:
-    """Every measure has an integer form (D, counts) with weights[z] ==
-    Fraction(counts[z], D); builders store it, the public constructor does
-    not."""
+    """Every measure stores an integer form (D, counts) with weights[z] ==
+    Fraction(counts[z], D), set when it is built, by the builders and by the
+    public constructor alike."""
 
     @given(built_measures())
     def test_builders_store_a_matching_form(self, m):
         assert m.__dict__.keys() == {"weights", "_form"}
-        assert m.__dict__["_form"] is measures._integer_form(m)
         assert_form_matches(m)
 
     @given(mixed_measures())
-    def test_public_measures_derive_it_and_store_nothing(self, m):
+    def test_public_measures_store_a_matching_form(self, m):
+        assert m.__dict__.keys() == {"weights", "_form"}
         assert_form_matches(m)
-        m.interval_mass(-2, 2)
-        convolve(m, m)
-        translate_measure(m, 1)
+
+    @given(mixed_measures())
+    def test_kernels_on_public_measures_call_no_lcm(self, m):
+        def no_lcm(*args):
+            raise AssertionError("a kernel derived an integer form")
+
         spec = ProductMeasureSpec((m, m))
         box = support_box(spec)
-        measure_of(spec, CylinderSet.whole_space().expand(box))
-        box_intersection_measure(spec, CylinderSet.whole_space(), box)
-        assert m.__dict__.keys() == {"weights"}
+        cyl = CylinderSet.whole_space().expand(box)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "lcm", no_lcm)
+            assert m.interval_mass(m.min_support, m.max_support) == 1
+            assert_form_matches(convolve(m, m))
+            assert_form_matches(translate_measure(m, 1))
+            assert measure_of(spec, cyl) == 1
+            assert box_intersection_measure(spec, CylinderSet.whole_space(), box) == 1
 
     def test_convolution_shares_one_fraction_per_distinct_mass(self):
         p = FiniteMeasureZ({-2: Fraction(1, 3), 0: Fraction(2, 3)})
@@ -392,11 +400,6 @@ class TestIntegerForm:
         got = convolve(p, uniform(k))
         assert got == convolve_oracle(p, uniform(k))
         assert_form_matches(got)
-
-    def test_common_denominator_only_where_masses_are_arbitrary(self):
-        source = Path(measures.__file__).read_text()
-        # its definition, the constructor's check and `_integer_form`
-        assert source.count("_common_denominator(") == 3
 
 
 @st.composite
