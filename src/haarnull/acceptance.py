@@ -18,6 +18,7 @@ down documented constants.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +27,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .codec import decode, encode, separation_gap
 from .eset import (
+    DatasetError,
     EncodedSet,
     GraphDatum,
     build_encoded_set,
     check_pairwise_gap,
     coinflip_bound,
+    load_graph_data,
 )
 from .measures import (
     CylinderSet,
@@ -539,14 +542,30 @@ def _deficiency_bound(seed: int) -> tuple[list[str], str]:
     )
 
 
+# One line each with an offset of a + 2 and a bit of 2: the loader must
+# reject both as bad values.
+_LOADER_CONTROLS = (
+    {"a": [1], "x": [0], "g": [3]},
+    {"a": [1], "x": [2], "g": [0]},
+)
+
+
 def _encoded_set_checks(seed: int) -> tuple[list[str], str]:
     """Both checkers pass random valid datasets and fail a boundary control;
     the closed-form coin-flip bound agrees with the translate search oracle
-    on status, lex-least translate and hits."""
+    on status, lex-least translate and hits.  Each dataset, written as JSON
+    lines and loaded back, builds the same set, and the loader rejects an
+    offset past the codec domain and a bit of 2."""
     failures = []
     rng = Random(seed)
     for i in range(GRAPH_DATASETS):
-        es = build_encoded_set(random_graph_dataset(rng))
+        data = random_graph_dataset(rng)
+        es = build_encoded_set(data)
+        lines = [json.dumps({"a": gd.a, "x": gd.x, "g": gd.g}) for gd in data]
+        loaded = load_graph_data(lines)
+        if build_encoded_set([gd for _, gd in loaded]) != es:
+            failures.append(f"dataset {i} loads from JSON lines as another set")
+            break
         gap = check_pairwise_gap(es)
         if not gap.passed:
             failures.append(f"dataset {i} fails the gap check: {gap.counterexample}")
@@ -577,6 +596,12 @@ def _encoded_set_checks(seed: int) -> tuple[list[str], str]:
     mismatch = _coinflip_mismatch(flip, _coinflip_search_oracle(control))
     if mismatch:
         failures.append(f"boundary control: {mismatch}")
+    for d in _LOADER_CONTROLS:
+        try:
+            load_graph_data([json.dumps(d)])
+        except DatasetError:
+            continue
+        failures.append(f"the loader accepts {d}")
     return failures, (
         f"{GRAPH_DATASETS} datasets pass both checks; boundary control fails both"
     )

@@ -49,7 +49,7 @@ from .eset import (
     load_graph_data,
 )
 from .measures import UnsupportedDepthError, materialize
-from .report import DEFAULT_BUDGET, VerificationReport
+from .report import DEFAULT_BUDGET, VerificationReport, json_text
 from .serialization import (
     cylinder_from_dict,
     fraction_to_str,
@@ -93,7 +93,7 @@ def _read_json(path: str):
 def _dump(obj) -> str:
     if callable(obj):
         obj = obj()
-    return json.dumps(jsonify(obj), indent=2, sort_keys=True)
+    return json_text(jsonify(obj))
 
 
 def _report_output(report: VerificationReport) -> Output:

@@ -40,7 +40,7 @@ from .report import (
     VerificationReport,
     check_budget,
 )
-from .serialization import parse_json
+from .serialization import JSON_WHITESPACE, parse_json
 
 __all__ = [
     "DatasetError",
@@ -180,25 +180,31 @@ def build_encoded_set(
         raise ValueError(f"{len(names)} labels for {len(data)} data")
     depth = data[0].depth
     seen: dict[tuple, int] = {}
+    points = []
     for i, gd in enumerate(data):
         if gd.depth != depth:
             raise DatasetError(
                 f"{names[i]} has depth {gd.depth}, expected {depth}"
             )
-        if not allow_boundary and not gd.in_support_box:
+        if not allow_boundary:
+            # `gd.in_support_box`, written out: the property call alone costs
+            # as much as the test
+            for n, z in zip(gd.a, gd.g):
+                if not 0 <= z <= n:
+                    raise DatasetError(
+                        f"{names[i]} has an offset at a size + 1 boundary; "
+                        "boundary offsets must be allowed explicitly"
+                    )
+        first = seen.setdefault((gd.a, gd.x), i)
+        if first != i:
             raise DatasetError(
-                f"{names[i]} has an offset at a size + 1 boundary; "
-                "boundary offsets must be allowed explicitly"
+                f"{names[i]} repeats the argument (a, x) of {names[first]}"
             )
-        arg = (gd.a, gd.x)
-        if arg in seen:
-            raise DatasetError(
-                f"{names[i]} repeats the argument (a, x) of {names[seen[arg]]}"
-            )
-        seen[arg] = i
+        points.append(encode_point(gd))
     # The data share one depth and their offsets lie in the codec domain,
     # where encoding is injective, so distinct arguments give distinct points.
-    return _trusted_encoded_set(depth, tuple(sorted([encode_point(gd) for gd in data])))
+    points.sort()
+    return _trusted_encoded_set(depth, tuple(points))
 
 
 def _close_pairs(
@@ -326,19 +332,21 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
 def load_graph_data(lines: Iterable[str]) -> list[tuple[int, GraphDatum]]:
     """Parse JSON-lines graph data into (line number, datum) pairs.
 
-    Each nonblank line must be an object with integer-list fields "a", "x",
-    and "g".  Errors carry the 1-based line number of the offending line;
-    syntax and shape problems (a repeated key and an integer literal too
-    long to convert among them) raise `GraphDataParseError`, value-level
-    problems `DatasetError`.
+    Each line must be an object with integer-list fields "a", "x", and "g",
+    or blank: empty or only JSON whitespace (space, tab, CR, LF).  Errors
+    carry the 1-based line number of the offending line; syntax and shape
+    problems (a repeated key and an integer literal too long to convert
+    among them) raise `GraphDataParseError`, value-level problems
+    `DatasetError`.
     """
     out = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+        # A blank line fails to parse, so only a failed parse tests for one.
         try:
             raw = parse_json(line)
         except ValueError as exc:
+            if not line.strip(JSON_WHITESPACE):
+                continue
             raise GraphDataParseError(
                 f"line {lineno}: invalid JSON: {exc}"
             ) from exc
@@ -356,6 +364,46 @@ _DATUM_KEYS = frozenset(_DATUM_FIELDS)
 
 
 def graph_datum_from_dict(d: dict) -> GraphDatum:
+    """Parse a graph datum: an object of three equally long lists of JSON
+    integers, sizes a(k) >= 1, bits x(k) in {0, 1} and offsets g(k) in the
+    codec domain [0, a(k) + 1].
+
+    Valid input is checked in one pass and built without `GraphDatum`'s
+    checks, which it has just passed; anything else goes through
+    `_checked_graph_datum_from_dict`, which names the first fault.
+    """
+    if type(d) is dict and d.keys() == _DATUM_KEYS:
+        a, x, g = d["a"], d["x"], d["g"]
+        if (
+            type(a) is list
+            and type(x) is list
+            and type(g) is list
+            and len(a) == len(x) == len(g)
+        ):
+            for n, b, z in zip(a, x, g):
+                # JSON integers only; bool is a subclass of int
+                if not (
+                    type(n) is int
+                    and type(b) is int
+                    and type(z) is int
+                    and n >= 1
+                    and 0 <= b <= 1
+                    and 0 <= z <= n + 1
+                ):
+                    break
+            else:
+                # indistinguishable from GraphDatum(a, x, g) under ==, hash
+                # and repr, as in `codec.decode_point`
+                gd = object.__new__(GraphDatum)
+                fields = gd.__dict__
+                fields["a"] = tuple(a)
+                fields["x"] = tuple(x)
+                fields["g"] = tuple(g)
+                return gd
+    return _checked_graph_datum_from_dict(d)
+
+
+def _checked_graph_datum_from_dict(d) -> GraphDatum:
     """Parse a graph datum: JSON types here, values in `GraphDatum`."""
     if not isinstance(d, dict):
         raise GraphDataParseError(f"expected an object, got {d!r}")

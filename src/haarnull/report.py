@@ -16,6 +16,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "VerificationReport",
     "check_budget",
+    "json_text",
 ]
 
 PASS = "pass"
@@ -25,6 +26,10 @@ BUDGET_EXCEEDED = "budget-exceeded"
 # Default cap on the work units of a budgeted check: translates in the
 # witness-prefix window, pairs compared for the coin-flip bound.
 DEFAULT_BUDGET = 10**7
+
+# The JSON text of every report and command output: keys sorted, indented by
+# two spaces.  One encoder serves every call.
+json_text = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def check_budget(budget: int) -> None:
@@ -73,4 +78,4 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_json_dict())

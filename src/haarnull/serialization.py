@@ -50,6 +50,9 @@ def _unique_keys(pairs: list) -> dict:
 
 
 _STRICT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_SCAN_ONCE = _STRICT_DECODER.scan_once
+# The characters JSON allows around a value.
+JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_json(text: str) -> Any:
@@ -61,7 +64,21 @@ def parse_json(text: str) -> Any:
     integer digits raises a plain `ValueError`, as it does there.  Nesting
     deeper than the interpreter's recursion limit raises a `ValueError`
     carrying the decoder's `RecursionError` message.
+
+    A text that starts with a value and ends with it, or with JSON
+    whitespace after it, is one call of the decoder's scanner.  Any other
+    text (leading whitespace, a BOM, no value, trailing data, too deep) goes
+    through `JSONDecoder.decode`, which words each error as `json.loads`
+    does.  A syntax error inside a value is raised by that same scanner call
+    either way.
     """
+    try:
+        value, end = _SCAN_ONCE(text, 0)
+    except (StopIteration, RecursionError):
+        pass
+    else:
+        if end == len(text) or not text[end:].strip(JSON_WHITESPACE):
+            return value
     # json.loads makes this test before it decodes; the decoder does not.
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError(

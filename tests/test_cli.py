@@ -387,6 +387,21 @@ class TestEsetCommands:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000"])
+    def test_only_json_whitespace_makes_a_line_blank(self, capsys, tmp_path, space):
+        data = tmp_path / "data.jsonl"
+        for text in (space + "\n" + GOOD_DATA, space):
+            data.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "eset", "build", str(data))
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+            )
+        data.write_text(" \t\n\n" + GOOD_DATA)
+        code, out, _ = run(capsys, "eset", "build", str(data), "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {"depth": 1, "points": [[1], [3]]}
+
 
 DEEP = 1200
 DEEP_DATA = (

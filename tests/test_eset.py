@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from haarnull.eset import (
     load_graph_data,
 )
 from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
+from haarnull.serialization import _unique_keys
 
 
 @st.composite
@@ -160,6 +162,67 @@ datum_dicts = st.dictionaries(
 ) | st.builds(
     lambda a, x, g: {"a": a, "x": x, "g": g},
     *[st.lists(st.integers(-1, 5), min_size=1, max_size=3)] * 3,
+)
+
+
+@st.composite
+def valid_datum_dicts(draw, max_depth=4):
+    """Graph data as the JSON decoder gives them: lists, offsets anywhere in
+    the codec domain, sizes up to past a machine word."""
+    depth = draw(st.integers(0, max_depth))
+    a = draw(st.lists(st.integers(1, 2**70), min_size=depth, max_size=depth))
+    x = draw(st.lists(st.integers(0, 1), min_size=depth, max_size=depth))
+    g = [draw(st.integers(0, n + 1)) for n in a]
+    return {"a": a, "x": x, "g": g}
+
+
+def reference_load_graph_data(lines):
+    """The loader with `json.loads` and the duplicate-key hook, the blank
+    test made first, and only JSON whitespace blank: the reference for
+    `load_graph_data`."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip(" \t\r\n"):
+            continue
+        try:
+            raw = json.loads(line, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise GraphDataParseError(f"line {lineno}: invalid JSON: {exc}") from exc
+        try:
+            out.append((lineno, reference_graph_datum_from_dict(raw)))
+        except GraphDataParseError as exc:
+            raise GraphDataParseError(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
+    return out
+
+
+def load_outcome(load, lines):
+    """What a loader returns, or the exact type and message it raises."""
+    try:
+        pairs = load(lines)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(lineno, type(gd), gd.a, gd.x, gd.g) for lineno, gd in pairs]
+
+
+# whitespace JSON allows, and some that it does not
+_SPACES = " \t\r\n\xa0\u3000\ufeff"
+graph_data_lines = st.builds(
+    lambda lead, body, trail: lead + body + trail,
+    st.text(_SPACES, max_size=2),
+    (valid_datum_dicts() | datum_dicts).map(json.dumps)
+    | st.sampled_from(
+        [
+            "",
+            "nope",
+            '{"a": [1], "x": [0], "g": [0]} x',
+            '{"a": [1], "x": [0], "g": [0], "a": [1]}',
+            '{"a": [' + "1" * 5000 + '], "x": [0], "g": [0]}',
+            "[]",
+        ]
+    ),
+    st.text(_SPACES, max_size=2),
 )
 
 
@@ -663,6 +726,34 @@ class TestSerializationHelpers:
             reference_graph_datum_from_dict, d
         )
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"a": [2, 1], "x": [1, 0], "g": [g, 0]}
+            for g in (-1, 0, 2, 3, 4)  # the codec domain of a = 2 is [0, 3]
+        ]
+        + [
+            {"a": [2, 1], "x": [x, 0], "g": [0, 0]} for x in (-1, 2)
+        ]
+        + [
+            {"a": [n, 1], "x": [0, 0], "g": [0, 0]} for n in (0, 1)
+        ],
+    )
+    def test_from_dict_edges_match_the_reference(self, d):
+        assert outcome(graph_datum_from_dict, d) == outcome(
+            reference_graph_datum_from_dict, d
+        )
+
+    @given(valid_datum_dicts())
+    def test_one_pass_build_is_the_constructor(self, d):
+        got = graph_datum_from_dict(d)
+        want = GraphDatum(tuple(d["a"]), tuple(d["x"]), tuple(d["g"]))
+        assert type(got) is type(want)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert vars(got) == vars(want)
+
     def test_from_dict_value_errors_are_plain(self):
         with pytest.raises(ValueError) as info:
             graph_datum_from_dict({"a": [1], "x": [0], "g": [5]})
@@ -738,6 +829,36 @@ class TestLoadGraphData:
         message = "^line 2: invalid JSON: Exceeds the limit"
         with pytest.raises(GraphDataParseError, match=message):
             load_graph_data(lines)
+
+    @settings(max_examples=300)
+    @given(st.lists(graph_data_lines, max_size=5))
+    def test_matches_the_reference(self, lines):
+        assert load_outcome(load_graph_data, lines) == load_outcome(
+            reference_load_graph_data, lines
+        )
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")])
+    def test_nesting_past_the_recursion_limit_matches_the_reference(
+        self, opener, closer
+    ):
+        # read here: hypothesis raises the limit while its tests run
+        depth = sys.getrecursionlimit() + 10
+        lines = ['{"a": [1], "x": [0], "g": [1]}', opener * depth + "0" + closer * depth]
+        outcome = load_outcome(load_graph_data, lines)
+        assert outcome == load_outcome(reference_load_graph_data, lines)
+        assert outcome[0] is GraphDataParseError
+        assert outcome[1].startswith("line 2: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000", "\x0b", "\x1f"])
+    def test_only_json_whitespace_makes_a_line_blank(self, space):
+        datum = '{"a": [1], "x": [0], "g": [1]}'
+        for lines in ([space, datum], [space]):
+            with pytest.raises(GraphDataParseError) as info:
+                load_graph_data(lines)
+            assert str(info.value) == (
+                "line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+            )
+        assert [n for n, _ in load_graph_data(["", " \t\r\n", datum])] == [3]
 
     def test_bom_message_is_that_of_json_loads(self):
         with pytest.raises(json.JSONDecodeError) as expected:

@@ -1,10 +1,11 @@
 """Serialization tests: rational strings, dict forms, report JSON."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarnull.measures import (
@@ -17,6 +18,7 @@ from haarnull.measures import (
 )
 from haarnull.report import PASS, FAIL, VerificationReport
 from haarnull.serialization import (
+    _unique_keys,
     cylinder_from_dict,
     cylinder_to_dict,
     fraction_from_str,
@@ -109,6 +111,51 @@ def typed(obj):
     return (type(obj), obj)
 
 
+def reference_parse_json(text):
+    """`json.loads` with the duplicate-key hook, a `RecursionError` read as
+    a `ValueError`: the reference for `parse_json`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def parse_outcome(parse, text):
+    """What a parse returns, leaf types included, or the exact type and
+    message it raises."""
+    try:
+        return "value", typed(parse(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+json_texts = st.builds(
+    lambda lead, body, trail, extra: lead + body + trail + extra,
+    # JSON whitespace, a BOM and whitespace that JSON does not allow
+    st.text(" \t\r\n\ufeff\xa0\u3000\x0b", max_size=3),
+    st.recursive(
+        st.integers() | st.booleans() | st.none() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=10,
+    ).map(json.dumps)
+    | st.sampled_from(
+        [
+            "",
+            "{nope",
+            "[1,]",
+            "Infinity",
+            '{"a": 1, "a": 2}',
+            '[{"k": {"z": 0, "z": 0}}]',
+            "[" + "7" * 5000 + "]",
+            '{"a": [1], "x": [0], "g": [0]}',
+        ]
+    ),
+    st.text(" \t\r\n\xa0", max_size=3),
+    st.sampled_from(["", "x", "1", "{}", '"s"']),
+)
+
+
 class TestParseJson:
     @pytest.mark.parametrize(
         "text",
@@ -149,6 +196,27 @@ class TestParseJson:
     def test_agrees_with_json_loads(self, value):
         text = json.dumps(value)
         assert parse_json(text) == json.loads(text)
+
+    @settings(max_examples=400)
+    @given(json_texts)
+    def test_matches_json_loads_with_the_same_hook(self, text):
+        assert parse_outcome(parse_json, text) == parse_outcome(
+            reference_parse_json, text
+        )
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"k": ', "}")])
+    @pytest.mark.parametrize("lead, trail", [("", ""), (" ", "\n"), ("", " x")])
+    def test_nesting_past_the_recursion_limit_matches_json_loads(
+        self, opener, closer, lead, trail
+    ):
+        # read here: hypothesis raises the limit while its tests run
+        depth = sys.getrecursionlimit() + 10
+        text = lead + opener * depth + "0" + closer * depth + trail
+        outcome = parse_outcome(parse_json, text)
+        assert outcome == parse_outcome(reference_parse_json, text)
+        assert outcome[0] is ValueError
+        assert outcome[1].startswith("maximum recursion depth exceeded")
+
 
 
 class TestMeasureDicts:
