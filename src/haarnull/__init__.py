@@ -41,7 +41,6 @@ from .measures import (
     lattice_points,
     materialize,
     measure_of,
-    support_box,
     translate_measure,
     translate_set,
     uniform,
@@ -99,7 +98,6 @@ __all__ = [
     "measure_of",
     "separation_gap",
     "shift_to_nonpositive",
-    "support_box",
     "synthesize_witness",
     "translate_measure",
     "translate_set",

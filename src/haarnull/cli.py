@@ -12,19 +12,22 @@ keys sorted), so reruns are byte-identical.
 
 Each command's handler takes the parsed arguments and returns its exit
 code, its JSON value and its text lines; it neither prints nor looks at
---output.  A JSON value that costs work to build may come as a zero-argument
-callable returning it, which only a JSON run calls.  `main` alone picks the
-format: it dumps the JSON value (Fractions as "p/q", tuples as lists) or
-joins the text lines, and writes the result in one piece, so a command that
-fails writes nothing to stdout.  Rendering happens inside the same `try` as
-the handler, so an integer too long for Python to print is an error like any
-other.  `main` also picks every failure's exit code from the exception type:
-1 for a `DatasetError` (a dataset invariant violation, with the offending
-line numbers) and for an `UnsupportedDepthError`; 2 for any other
-`ValueError` or an `OSError`: usage, syntax or shape errors, input that is
-not UTF-8, output integers too long for Python to print, and a stdout
-closed before the output is written.  A passing run exits 0, and a verified
-failure or a budget-exceeded check exits 1.
+--output.  `main` alone picks the format: it dumps the JSON value (Fractions
+as "p/q", tuples as lists) or joins the text lines, and writes the result in
+one piece, so a command that fails writes nothing to stdout.  Rendering
+happens inside the same `try` as the handler, so an integer too long for
+Python to print is an error like any other.  `main` also picks every
+failure's exit code from the exception type: 1 for a `DatasetError` (a
+dataset invariant violation, with the offending line numbers) and for an
+`UnsupportedDepthError`; 2 for any other `ValueError` or an `OSError`:
+usage, syntax or shape errors, input that is not UTF-8, output integers too
+long for Python to print, and a stdout closed before the output is written.
+A passing run exits 0, and a verified failure or a budget-exceeded check
+exits 1.
+
+Input files are read as UTF-8, with CRLF and CR line ends read as LF.  A
+line of graph data ends at LF alone: a form feed, U+2028 or another
+separator that `str.splitlines` knows stays inside its line.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .eset import (
 from .measures import UnsupportedDepthError, materialize
 from .report import DEFAULT_BUDGET, VerificationReport, json_text
 from .serialization import (
+    _no_unknown_fields,
     cylinder_from_dict,
     fraction_to_str,
     jsonify,
@@ -61,25 +65,28 @@ from .witness import is_witness_prefix, synthesize_witness
 
 __all__ = ["main"]
 
-# exit code, JSON value (or a zero-argument callable building it), text lines
+# exit code, JSON value, text lines
 Output = tuple[int, Any, Iterable[str]]
 
 
 def _read_text(path: str) -> str:
-    """A file, or stdin for "-", decoded as UTF-8 with universal newlines."""
+    """A file, or stdin for "-", decoded as UTF-8 with CRLF and CR made LF.
+
+    A UTF-8 error names its line, counted by LF alone.
+    """
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
             data = handle.read()
+    # CR and LF are never part of a multibyte UTF-8 sequence, so the line
+    # ends can be made LF before decoding
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # numbered as `str.splitlines` numbers lines; "?" stands in for the
-        # bad byte, so a line end just before it starts a line of its own
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: not valid UTF-8: {exc.reason}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_json(path: str):
@@ -91,8 +98,6 @@ def _read_json(path: str):
 
 
 def _dump(obj) -> str:
-    if callable(obj):
-        obj = obj()
     return json_text(jsonify(obj))
 
 
@@ -178,8 +183,10 @@ def cmd_witness_verify_claim(args) -> Output:
 
 
 def cmd_witness_check_prefix(args) -> Output:
-    raw = _read_json(args.witness)
-    witness = raw.get("witness") if isinstance(raw, dict) else raw
+    witness = _read_json(args.witness)
+    if isinstance(witness, dict) and "witness" in witness:
+        _no_unknown_fields(witness, {"witness"})
+        witness = witness["witness"]
     if not isinstance(witness, list):
         raise ValueError(
             "witness file must be a JSON list or an object with a "
@@ -192,7 +199,7 @@ def cmd_witness_check_prefix(args) -> Output:
 def _load_encoded_set(args) -> EncodedSet:
     if args.encoded:
         return encoded_set_from_dict(_read_json(args.data))
-    pairs = load_graph_data(_read_text(args.data).splitlines())
+    pairs = load_graph_data(_read_text(args.data).split("\n"))
     if not pairs:
         raise DatasetError("dataset is empty")
     labels = [f"line {lineno}" for lineno, _ in pairs]
@@ -204,12 +211,12 @@ def _load_encoded_set(args) -> EncodedSet:
 
 def cmd_eset_build(args) -> Output:
     es = _load_encoded_set(args)
-    # a generator and a callable, so each run renders only its own format
+    # a generator, so a JSON run formats no point as text
     lines = chain(
         [f"depth: {es.depth}", f"points: {es.size}"],
         (" ".join(str(v) for v in p) for p in es.points),
     )
-    return 0, lambda: encoded_set_to_dict(es), lines
+    return 0, encoded_set_to_dict(es), lines
 
 
 def cmd_eset_gap(args) -> Output:

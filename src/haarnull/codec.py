@@ -62,9 +62,9 @@ def _check_code(m: int) -> int:
 class CodedTriple:
     """A (size, bit, offset) triple.
 
-    The encoding formula is total in the offset z; membership in the codec's
-    domain (z in [0, n + 1]) is a separate predicate, as is the tighter
-    support-box condition (z in [0, n]) that encoded graph data satisfy.
+    The encoding formula is total in the offset z, so the constructor does
+    not require the codec's domain (z in [0, n + 1]).  `in_support_box` tests
+    the tighter condition z in [0, n] that `separation_gap` needs.
     """
 
     n: int
@@ -75,10 +75,6 @@ class CodedTriple:
         _check_size(self.n)
         _check_bit(self.b)
         _check_offset(self.z)
-
-    @property
-    def in_domain(self) -> bool:
-        return 0 <= self.z <= self.n + 1
 
     @property
     def in_support_box(self) -> bool:
@@ -173,14 +169,6 @@ class PointPrefix:
         """All offsets within the codec domain: g(k) in [0, a(k) + 1]."""
         for ak, gk in zip(self.a, self.g):
             if not 0 <= gk <= ak + 1:
-                return False
-        return True
-
-    @property
-    def in_support_box(self) -> bool:
-        """All offsets within the support box: g(k) in [0, a(k)]."""
-        for ak, gk in zip(self.a, self.g):
-            if not 0 <= gk <= ak:
                 return False
         return True
 

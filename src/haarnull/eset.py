@@ -85,7 +85,7 @@ class GraphDatum(PointPrefix):
     A frozen `PointPrefix` whose constructor also demands the codec domain,
     g(k) in [0, a(k) + 1]; the component checks (a(k) >= 1, x(k) in
     {0, 1}, equal lengths) are the base class's.  The tighter support-box
-    condition g(k) <= a(k) stays the `in_support_box` predicate, not a
+    condition g(k) <= a(k) is `build_encoded_set`'s to test, not a
     constructor constraint, so boundary data (used as negative controls for
     the checkers) remain expressible.  A datum never equals a plain
     `PointPrefix` with the same fields.
@@ -187,8 +187,6 @@ def build_encoded_set(
                 f"{names[i]} has depth {gd.depth}, expected {depth}"
             )
         if not allow_boundary:
-            # `gd.in_support_box`, written out: the property call alone costs
-            # as much as the test
             for n, z in zip(gd.a, gd.g):
                 if not 0 <= z <= n:
                     raise DatasetError(

@@ -20,11 +20,11 @@ The sums run on integers.  Every measure stores its integer form
 `_form = (D, counts)`, with `weights[z] == Fraction(counts[z], D)` for every
 point z: the public constructor keeps the one it builds to check the total
 mass, and the builders store the one they know already.  `convolve`,
-`interval_mass`, `measure_of` and `box_intersection_measure` add and
-multiply these integers and divide once, building one `Fraction` per result
-(`convolve`: one per distinct mass); `translate_measure` shifts the form
-with the points.  The stored form would go stale if `weights` changed, so
-treat `weights` as read-only.
+`measure_of` and `box_intersection_measure` add and multiply these integers
+and divide once, building one `Fraction` per result (`convolve`: one per
+distinct mass); `translate_measure` shifts the form with the points.  The
+stored form would go stale if `weights` changed, so treat `weights` as
+read-only.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "materialize",
     "measure_of",
     "translate_set",
-    "support_box",
     "box_measure",
     "box_intersection_measure",
     "lattice_points",
@@ -136,11 +135,6 @@ class FiniteMeasureZ:
 
     def mass(self, point: int) -> Fraction:
         return self.weights.get(point, Fraction(0))
-
-    def interval_mass(self, lo: int, hi: int) -> Fraction:
-        """Total mass of the integer interval [lo, hi]."""
-        D, counts = self._form
-        return Fraction(sum([c for z, c in counts.items() if lo <= z <= hi]), D)
 
 
 def _trusted_measure(
@@ -349,33 +343,6 @@ class CylinderSet:
     def size(self) -> int:
         return len(self.prefixes)
 
-    def union(self, other: "CylinderSet") -> "CylinderSet":
-        self._check_same_depth(other)
-        return CylinderSet(self.depth, self.prefixes + other.prefixes)
-
-    def intersect(self, other: "CylinderSet") -> "CylinderSet":
-        self._check_same_depth(other)
-        common = set(self.prefixes) & set(other.prefixes)
-        return CylinderSet(self.depth, tuple(common))
-
-    def expand(self, windows: Box) -> "CylinderSet":
-        """Refine every cylinder over the given per-coordinate windows.
-
-        Appends one coordinate per window entry, enumerating all integer
-        values in [lo, hi].  Refinement is exact on any set whose relevant
-        coordinates are confined to the windows; it is meant for small
-        windows (the prefix count multiplies by the window volume).
-        """
-        new = [s + w for s in self.prefixes for w in lattice_points(windows)]
-        return CylinderSet(self.depth + len(windows), tuple(new))
-
-    def _check_same_depth(self, other: "CylinderSet") -> None:
-        if self.depth != other.depth:
-            raise ValueError(
-                f"depth mismatch: {self.depth} vs {other.depth}; "
-                "refine to a common depth first"
-            )
-
 
 _WHOLE_SPACE = CylinderSet.whole_space()
 
@@ -417,11 +384,6 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
                 break
         num += f
     return Fraction(num, prod([D for D, _ in forms]))
-
-
-def support_box(spec: ProductMeasureSpec) -> Box:
-    """Per-coordinate [min support, max support] of the prefix measures."""
-    return tuple((m.min_support, m.max_support) for m in spec.prefix)
 
 
 def box_measure(spec: ProductMeasureSpec, box: Box) -> Fraction:

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from haarnull import acceptance, cli
 from haarnull.acceptance import CriterionResult
@@ -261,6 +264,14 @@ class TestWitnessCommands:
         assert (code, out) == (2, "")
         assert err == f"error: budget must be >= 1, got {budget}\n"
 
+    def test_check_prefix_witness_object_takes_no_other_field(self, capsys, tmp_path):
+        wit = tmp_path / "wit.json"
+        wit.write_text(json.dumps({"witness": [2, 2], "note": 1}))
+        cyl = tmp_path / "cyl.json"
+        cyl.write_text(json.dumps({"depth": 2, "prefixes": []}))
+        code, out, err = run(capsys, "witness", "check-prefix", str(wit), str(cyl))
+        assert (code, out, err) == (2, "", "error: unknown fields: note\n")
+
     def test_check_prefix_bad_witness_shape(self, capsys, tmp_path):
         wit = tmp_path / "wit.json"
         wit.write_text(json.dumps({"entries": [1]}))
@@ -292,20 +303,13 @@ class TestEsetCommands:
         assert code == 0
         assert "points: 2" in out
 
-    def test_build_text_never_builds_the_json_value(
-        self, capsys, monkeypatch, tmp_path
-    ):
+    def test_build_text_and_json_output(self, capsys, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_text(GOOD_DATA)
-        built = []
-        real = cli.encoded_set_to_dict
-        monkeypatch.setattr(
-            cli, "encoded_set_to_dict", lambda es: built.append(es) or real(es)
-        )
         code, out, _ = run(capsys, "eset", "build", str(data))
-        assert (code, out, built) == (0, "depth: 1\npoints: 2\n1\n3\n", [])
+        assert (code, out) == (0, "depth: 1\npoints: 2\n1\n3\n")
         code, out, _ = run(capsys, "eset", "build", str(data), "--output", "json")
-        assert (code, len(built)) == (0, 1)
+        assert code == 0
         assert json.loads(out) == {"depth": 1, "points": [[1], [3]]}
 
     def test_gap_pass(self, capsys, tmp_path):
@@ -401,6 +405,35 @@ class TestEsetCommands:
         code, out, _ = run(capsys, "eset", "build", str(data), "--output", "json")
         assert code == 0
         assert json.loads(out) == {"depth": 1, "points": [[1], [3]]}
+
+    def test_a_line_ends_at_a_line_feed_alone(self, capsys, tmp_path):
+        # a form feed does not end a line, so two data joined by one are
+        # one line with trailing data
+        first, second = GOOD_DATA.splitlines()
+        data = tmp_path / "data.jsonl"
+        data.write_text(first + "\x0c" + second + "\n{nope\n")
+        code, out, err = run(capsys, "eset", "build", str(data))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1: invalid JSON: Extra data: line 1 column 31 (char 30)\n"
+        )
+
+    def test_a_line_separator_in_a_string_stays_in_its_line(self, capsys, tmp_path):
+        first, second = GOOD_DATA.splitlines()
+        data = tmp_path / "data.jsonl"
+        data.write_text(
+            first + "\n" + second[:-1] + ', "\u2028": 0}\n', encoding="utf-8"
+        )
+        code, out, err = run(capsys, "eset", "build", str(data))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: unknown fields: \u2028\n"
+
+    def test_a_utf8_error_counts_lines_by_line_feeds(self, capsys, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(GOOD_DATA.splitlines()[0].encode() + b"\x0c\xff\n")
+        code, out, err = run(capsys, "eset", "build", str(data))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: not valid UTF-8: invalid start byte\n"
 
 
 DEEP = 1200
@@ -910,6 +943,36 @@ class TestStdinBytes:
         assert expected[0] == 1 and expected[1]
         crlf = BOUNDARY_DATA.replace("\n", "\r\n").encode()
         assert run_module(argv, crlf) == expected
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                # text and line breaks, then an "é" whole and cut short, a
+                # lone lead byte and a byte UTF-8 never uses
+                [b"a", b"\r", b"\n", b"\r\n", b"\x0c", "\u2028".encode()]
+                + [b"\xc3\xa9", b"\xc3", b"\xe9", b"\xff"]
+            ),
+            max_size=12,
+        ).map(b"".join)
+    )
+    def test_read_text_matches_decoding_first(self, data):
+        # the reference decodes, then makes CRLF and CR into LF
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            prefix = data[: exc.start].decode("utf-8")
+            line = prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+            want = ValueError(f"line {line}: not valid UTF-8: {exc.reason}")
+        else:
+            want = text.replace("\r\n", "\n").replace("\r", "\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data"
+            path.write_bytes(data)
+            try:
+                got = cli._read_text(str(path))
+            except ValueError as exc:
+                got = exc
+        assert repr(got) == repr(want)
 
     def test_not_utf8_exits_2_with_the_line(self):
         assert run_module(["eset", "gap", "-"], NOT_UTF8) == (
