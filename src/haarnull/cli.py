@@ -140,6 +140,10 @@ def cmd_codec_roundtrip(args) -> Output:
 def cmd_witness_synth(args) -> Output:
     spec = spec_from_dict(_read_json(args.spec))
     if args.depth is not None:
+        if 0 <= args.depth < spec.depth:
+            raise ValueError(
+                f"--depth {args.depth} is below the spec's prefix depth {spec.depth}"
+            )
         spec = materialize(spec, args.depth)
     trace = synthesize_witness(spec)
     lines = [
@@ -283,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(witness_sub, "synth", cmd_witness_synth, "synthesize a witness sequence")
     p.add_argument("spec", help="product measure spec JSON file, - for stdin")
     p.add_argument(
-        "--depth", type=int, default=None, help="materialize the tail to this depth"
+        "--depth",
+        type=int,
+        default=None,
+        help="materialize the tail to this depth (at least the prefix depth)",
     )
     p = leaf(
         witness_sub,

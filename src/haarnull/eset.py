@@ -433,7 +433,10 @@ def encoded_set_from_dict(d: dict) -> EncodedSet:
     """Parse an encoded set.
 
     Shape errors raise `GraphDataParseError`, and values that `EncodedSet`
-    rejects raise `DatasetError`.
+    rejects raise `DatasetError`.  One pass over the codes checks their
+    type, the point lengths and the signs; valid input is sorted,
+    deduplicated and wrapped without a second check, and any other input
+    goes through `EncodedSet`, which names its first fault.
     """
     if not isinstance(d, dict) or set(d) != {"depth", "points"}:
         raise GraphDataParseError(
@@ -445,10 +448,17 @@ def encoded_set_from_dict(d: dict) -> EncodedSet:
     points = d["points"]
     if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
         raise GraphDataParseError('field "points" must be a list of point lists')
+    valid = depth >= 0
     for p in points:
+        if len(p) != depth:
+            valid = False
         for v in p:
             if type(v) is not int:
                 raise GraphDataParseError(f"codes must be integers, got {v!r}")
+            if v < 0:
+                valid = False
+    if valid:
+        return _trusted_encoded_set(depth, tuple(sorted(set(map(tuple, points)))))
     try:
         return EncodedSet(depth, tuple(tuple(p) for p in points))
     except ValueError as exc:

@@ -20,11 +20,14 @@ The sums run on integers.  Every measure stores its integer form
 `_form = (D, counts)`, with `weights[z] == Fraction(counts[z], D)` for every
 point z: the public constructor keeps the one it builds to check the total
 mass, and the builders store the one they know already.  `convolve`,
-`measure_of` and `box_intersection_measure` add and multiply these integers
-and divide once, building one `Fraction` per result (`convolve`: one per
+`measure_of`, `box_intersection_measure` and the private
+`_smoothed_box_intersection_measure` add and multiply these integers and
+divide once, building one `Fraction` per result (`convolve`: one per
 distinct mass); `translate_measure` shifts the form with the points.  The
-stored form would go stale if `weights` changed, so treat `weights` as
-read-only.
+smoothed kernel reads a box measure of the convolution with a uniform
+product straight off the unsmoothed forms, so the restrict-normalize
+verifier builds no convolution.  The stored form would go stale if
+`weights` changed, so treat `weights` as read-only.
 """
 
 from __future__ import annotations
@@ -386,6 +389,21 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
     return Fraction(num, prod([D for D, _ in forms]))
 
 
+def _box_forms(spec: ProductMeasureSpec, cyl: CylinderSet, box: Box) -> list:
+    """The integer forms of the box's coordinates, once the box is checked
+    to be at least as deep as cyl and resolvable by spec."""
+    if cyl.depth > len(box):
+        raise ValueError(
+            f"cylinder depth {cyl.depth} exceeds box depth {len(box)}"
+        )
+    if not spec.resolvable_to(len(box)):
+        raise UnsupportedDepthError(
+            f"box depth {len(box)} exceeds prefix depth {spec.depth} "
+            "and the spec declares no tail policy"
+        )
+    return [spec.coordinate(n)._form for n in range(len(box))]
+
+
 def box_measure(spec: ProductMeasureSpec, box: Box) -> Fraction:
     """Measure of the box cylinder {y : y(n) in [lo_n, hi_n] for n < len(box)}."""
     return box_intersection_measure(spec, _WHOLE_SPACE, box)
@@ -402,16 +420,7 @@ def box_intersection_measure(
     coordinates, so its measure factors per coordinate.  The box must be at
     least as deep as the cylinder set.
     """
-    if cyl.depth > len(box):
-        raise ValueError(
-            f"cylinder depth {cyl.depth} exceeds box depth {len(box)}"
-        )
-    if not spec.resolvable_to(len(box)):
-        raise UnsupportedDepthError(
-            f"box depth {len(box)} exceeds prefix depth {spec.depth} "
-            "and the spec declares no tail policy"
-        )
-    forms = [spec.coordinate(n)._form for n in range(len(box))]
+    forms = _box_forms(spec, cyl, box)
     tail_factor = 1
     for n in range(cyl.depth, len(box)):
         lo, hi = box[n]
@@ -429,6 +438,56 @@ def box_intersection_measure(
         else:
             num += f
     return Fraction(num, prod([D for D, _ in forms]))
+
+
+def _smoothed_box_intersection_measure(
+    spec: ProductMeasureSpec, cyl: CylinderSet, box: Box, sizes: Sequence[int]
+) -> Fraction:
+    """Exact measure of cyl intersected with the box cylinder over `box`
+    under the coordinatewise convolution of spec with uniform(sizes[n]).
+
+    Reads the smoothed measure off spec's integer forms without building
+    it.  With (D, a) the form of coordinate n and s = sizes[n], the smoothed
+    coordinate has denominator D * (s + 1), count sum of a(x) over
+    v - s <= x <= v at v, and count sum of a(x) * |[lo, hi] & [x, x + s]|
+    on [lo, hi].  The sums factor per coordinate as in
+    `box_intersection_measure`, and the arguments are checked the same
+    way; `sizes` must be as long as the box.
+    """
+    forms = _box_forms(spec, cyl, box)
+    if len(sizes) != len(box):
+        raise ValueError(
+            f"{len(sizes)} smoothing sizes for a box of depth {len(box)}"
+        )
+    for s in sizes:
+        _check_int(s, "uniform size")
+        if s < 0:
+            raise ValueError(f"uniform size must be >= 0, got {s}")
+    tail_factor = 1
+    for n in range(cyl.depth, len(box)):
+        lo, hi = box[n]
+        s = sizes[n]
+        inside = 0
+        for x, a in forms[n][1].items():
+            overlap = min(hi, x + s) - max(lo, x) + 1
+            if overlap > 0:
+                inside += a * overlap
+        if not inside:
+            return Fraction(0)
+        tail_factor *= inside
+    num = 0
+    for p in cyl.prefixes:
+        f = tail_factor
+        for (lo, hi), (_, counts), s, v in zip(box, forms, sizes, p):
+            if not lo <= v <= hi:
+                break
+            c = sum([a for x, a in counts.items() if v - s <= x <= v])
+            if not c:
+                break
+            f *= c
+        else:
+            num += f
+    return Fraction(num, prod([D * (s + 1) for (D, _), s in zip(forms, sizes)]))
 
 
 def lattice_points(box: Box) -> Iterator[tuple[int, ...]]:

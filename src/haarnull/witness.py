@@ -18,7 +18,11 @@ shifted measure with the uniform product flattens it on the witness support
 box, scaling by the partial density constant recovers the witness measure
 there, the box mass under the plain uniform product is the reciprocal of
 that constant, and the restrict-and-normalize quotient reproduces the
-witness measure.  `is_witness_prefix` decides the defining property of a
+witness measure.  It reads the smoothed measure on the box straight off the
+integer forms of the shifted measure (`_smoothed_box_intersection_measure`)
+and never builds the convolution; the uniform measures go through the
+public kernels, so each identity compares two sides computed by different
+code.  `is_witness_prefix` decides the defining property of a
 witness prefix in closed form: a nonempty cylinder set always has a translate
 of positive mass, and the lex-least one is minus its lex-largest prefix.  The
 brute-force scan over the exhaustive translation window that this replaces
@@ -38,9 +42,9 @@ from .measures import (
     UniformTail,
     UnsupportedDepthError,
     _check_int,
+    _smoothed_box_intersection_measure,
     box_intersection_measure,
     box_measure,
-    convolve,
     measure_of,
     translate_measure,
     uniform_product_spec,
@@ -228,6 +232,10 @@ def verify_restrict_normalize(
       restrict_normalize_quotient   wit(X)     = nu(X & B) / nu(B)
 
     All four are exact rational equalities; the report carries both sides.
+    nu(X & B) and nu(B) come from `_smoothed_box_intersection_measure`,
+    which reads them off mu's integer forms without building nu; flat and
+    wit are built by `uniform_product_spec` and measured by
+    `box_intersection_measure`, `box_measure` and `measure_of`.
     """
     _check_shifted(mu, trace)
     d = mu.depth
@@ -237,17 +245,16 @@ def verify_restrict_normalize(
         )
     flat = uniform_product_spec(trace.sizes)
     wit = uniform_product_spec(trace.witness)
-    smooth = ProductMeasureSpec(
-        tuple(convolve(m, u) for m, u in zip(mu.prefix, flat.prefix))
-    )
     box = tuple((0, w) for w in trace.witness)
     scale = trace.scale_partial[-1] if d else Fraction(1)
 
-    nu_xb = box_intersection_measure(smooth, X, box)
+    nu_xb = _smoothed_box_intersection_measure(mu, X, box, trace.sizes)
     flat_xb = box_intersection_measure(flat, X, box)
     wit_xb = box_intersection_measure(wit, X, box)
     flat_b = box_measure(flat, box)
-    nu_b = box_measure(smooth, box)
+    nu_b = _smoothed_box_intersection_measure(
+        mu, CylinderSet.whole_space(), box, trace.sizes
+    )
     wit_x = measure_of(wit, X)
 
     lhs = {

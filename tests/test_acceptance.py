@@ -27,7 +27,6 @@ from haarnull.measures import (
     FiniteMeasureZ,
     ProductMeasureSpec,
     dirac,
-    uniform,
 )
 
 
@@ -170,14 +169,12 @@ def run_only(monkeypatch, key):
 
 
 def wide_smoothing_one_short(monkeypatch):
-    real = witness.convolve
+    real = witness._smoothed_box_intersection_measure
 
-    def convolve(m, u):  # smoothing sizes of 80 and more lose a point
-        if u.max_support >= 80:
-            u = uniform(u.max_support - 1)
-        return real(m, u)
+    def smoothed(spec, X, box, sizes):  # sizes of 80 and more lose a point
+        return real(spec, X, box, tuple(s - 1 if s >= 80 else s for s in sizes))
 
-    monkeypatch.setattr(witness, "convolve", convolve)
+    monkeypatch.setattr(witness, "_smoothed_box_intersection_measure", smoothed)
 
 
 def large_pairs_drop_a_factor(monkeypatch):
@@ -226,14 +223,18 @@ def kernels_drop_the_last_cylinder(monkeypatch):
     # the verifier's cylinder sums leave out the last prefix of X; the four
     # identities hold for any X, so only the oracle can see this
     def dropping(kernel):
-        def wrapped(spec, X, *box):
+        def wrapped(spec, X, *rest):
             if X.size >= 2:
                 X = CylinderSet(X.depth, X.prefixes[:-1])
-            return kernel(spec, X, *box)
+            return kernel(spec, X, *rest)
 
         return wrapped
 
-    for name in ("box_intersection_measure", "measure_of"):
+    for name in (
+        "_smoothed_box_intersection_measure",
+        "box_intersection_measure",
+        "measure_of",
+    ):
         monkeypatch.setattr(witness, name, dropping(getattr(witness, name)))
 
 

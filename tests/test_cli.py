@@ -156,6 +156,18 @@ class TestWitnessCommands:
         assert (code, out) == (2, "")
         assert err == "error: depth must be >= 0, got -2\n"
 
+    def test_synth_depth_below_the_prefix_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC_JSON, "prefix": SPEC_JSON["prefix"] * 3}))
+        code, out, err = run(
+            capsys, "witness", "synth", str(spec), "--depth", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --depth 1 is below the spec's prefix depth 3\n"
+        code, out, _ = run(capsys, "witness", "synth", str(spec), "--depth", "3")
+        assert code == 0
+        assert "depth: 3" in out
+
     def test_synth_bad_json_is_parse_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{nope")

@@ -116,6 +116,29 @@ def outcome(parse, *args):
     return type(gd), gd.a, gd.x, gd.g
 
 
+def outcome_of(parse, d):
+    """What an encoded-set parse returns, or the exact type and message it raises."""
+    try:
+        es = parse(d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return es.depth, es.points
+
+
+def reference_encoded_set_from_dict(d):
+    """The encoded-set parse in two passes, every code's type first and then
+    the `EncodedSet` constructor: the reference for the one-pass parse."""
+    depth, points = d["depth"], d["points"]
+    for p in points:
+        for v in p:
+            if type(v) is not int:
+                raise GraphDataParseError(f"codes must be integers, got {v!r}")
+    try:
+        return EncodedSet(depth, tuple(tuple(p) for p in points))
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from exc
+
+
 def reference_graph_datum(a, x, g):
     """The datum constructor with every entry checked by its checker, as it
     was before the checks went inline: the reference for `GraphDatum`."""
@@ -785,6 +808,53 @@ class TestSerializationHelpers:
     def test_encoded_set_from_dict_strict(self, bad):
         with pytest.raises(GraphDataParseError):
             encoded_set_from_dict(bad)
+
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda depth: st.tuples(
+                st.just(depth),
+                st.lists(
+                    st.lists(st.integers(0, 6), min_size=depth, max_size=depth),
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    def test_valid_input_is_the_constructor(self, case):
+        depth, points = case
+        got = encoded_set_from_dict({"depth": depth, "points": points})
+        want = EncodedSet(depth, points)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+    @given(
+        st.integers(-1, 3),
+        st.lists(
+            st.lists(st.integers(-1, 3) | st.sampled_from([0.5, True, "1"]), max_size=4),
+            max_size=5,
+        ),
+    )
+    def test_faulty_input_raises_as_the_two_pass_parse(self, depth, points):
+        d = {"depth": depth, "points": points}
+        assert outcome_of(encoded_set_from_dict, d) == outcome_of(
+            reference_encoded_set_from_dict, d
+        )
+
+    @pytest.mark.parametrize(
+        "points, depth, error, message",
+        [
+            ([[0], [1, "x"]], 2, GraphDataParseError, "codes must be integers, got 'x'"),
+            ([[1, 0], [0], [-1, 0]], 2, DatasetError, "point (0,) has length 1, expected depth 2"),
+            ([[2, 0], [-1, 0], [0]], 2, DatasetError, "code must be >= 0, got -1"),
+            ([[-1]], -1, DatasetError, "depth must be >= 0, got -1"),
+            ([[-1], [0.5]], -1, GraphDataParseError, "codes must be integers, got 0.5"),
+        ],
+    )
+    def test_several_faults_keep_the_first_message(self, points, depth, error, message):
+        with pytest.raises(error) as info:
+            encoded_set_from_dict({"depth": depth, "points": points})
+        assert (type(info.value), str(info.value)) == (error, message)
 
     def test_encoded_set_from_dict_value_errors_are_plain(self):
         for bad in ({"depth": 1, "points": [[-1]]}, {"depth": 2, "points": [[0]]}):

@@ -499,6 +499,96 @@ class TestIntegerKernelsAgainstEnumeration:
         assert box_measure(point_tail, ((0, 1), (0, 4))) == 0
 
 
+class TestSmoothedBoxIntersectionMeasure:
+    """`_smoothed_box_intersection_measure` is `box_intersection_measure` on
+    the spec convolved coordinatewise with uniform(sizes[n]), without the
+    convolution."""
+
+    kernel = staticmethod(measures._smoothed_box_intersection_measure)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_equals_the_built_convolution(self, data):
+        entry = st.one_of(
+            finite_measures(lo=-4, hi=2, max_points=3),
+            mixed_measures(lo=-4, hi=2, max_points=3),
+        )
+        prefix = tuple(data.draw(entry) for _ in range(data.draw(st.integers(0, 4))))
+        tail = data.draw(
+            st.one_of(
+                st.none(),
+                st.integers(0, 2).map(UniformTail),
+                st.integers(-2, 2).map(PointMassTail),
+            )
+        )
+        spec = ProductMeasureSpec(prefix, tail)
+        box_depth = data.draw(st.integers(0, spec.depth + (2 if tail else 0)))
+        sizes = tuple(data.draw(st.integers(0, 40)) for _ in range(box_depth))
+        smooth = ProductMeasureSpec(
+            tuple(convolve(spec.coordinate(n), uniform(s)) for n, s in enumerate(sizes))
+        )
+        windows = [(m.min_support, m.max_support) for m in smooth.prefix]
+        # boxes inside, across and past the support; lo > hi is empty, and
+        # an interval between two support points of a gapped measure
+        # convolved with uniform(0) holds no mass
+        ends = [st.integers(lo - 3, hi + 3) for lo, hi in windows]
+        box = tuple((data.draw(e), data.draw(e)) for e in ends)
+        depth = data.draw(st.integers(0, box_depth))
+        cyl = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(lo - 1, hi + 1) for lo, hi in windows[:depth]]),
+                max_size=5,
+            ).map(lambda ps: CylinderSet(depth, tuple(ps)))
+        )
+        got = self.kernel(spec, cyl, box, sizes)
+        assert type(got) is Fraction
+        assert got == box_intersection_measure(smooth, cyl, box)
+
+    def test_fixed_cases(self):
+        gapped = FiniteMeasureZ({-3: Fraction(1, 3), 0: Fraction(2, 3)})
+        spec = ProductMeasureSpec((gapped,), UniformTail(1))
+        whole = CylinderSet.whole_space()
+        # coordinate 0 smoothed by uniform(1): 1/6, 1/6, 1/3, 1/3 on -3, -2, 0, 1
+        assert self.kernel(spec, whole, ((-3, 1),), (1,)) == 1
+        assert self.kernel(spec, whole, ((-4, 5), (0, 3)), (1, 2)) == 1
+        # [-1, -1] lies between the support points: no mass, an exact zero
+        for cyl in (whole, CylinderSet(1, ((-1,),)), CylinderSet.empty(1)):
+            got = self.kernel(spec, cyl, ((-1, -1),), (1,))
+            assert type(got) is Fraction and got == 0
+        got = self.kernel(spec, whole, ((-3, 1), (-1, -1)), (1, 0))
+        assert type(got) is Fraction and got == 0
+        got = self.kernel(spec, CylinderSet(1, ((-2,), (1,))), ((-3, 1), (1, 2)), (1, 3))
+        assert got == (Fraction(1, 6) + Fraction(1, 3)) * Fraction(2 + 2, 8)
+
+    def test_errors_match_the_box_kernel(self):
+        spec = uniform_product_spec((1, 1))
+        for cyl, box in (
+            (CylinderSet(2, ((0, 0),)), ((0, 1),)),
+            (CylinderSet(1, ((0,),)), ((0, 1), (0, 1), (0, 1))),
+        ):
+            with pytest.raises(Exception) as want:
+                box_intersection_measure(spec, cyl, box)
+            with pytest.raises(type(want.value)) as got:
+                self.kernel(spec, cyl, box, (0,) * len(box))
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((1,), "1 smoothing sizes for a box of depth 2"),
+            ((1, 2, 3), "3 smoothing sizes for a box of depth 2"),
+            ((1, -1), "uniform size must be >= 0, got -1"),
+            ((1, True), "uniform size must be an integer, got True"),
+            ((1.0, 1), "uniform size must be an integer, got 1.0"),
+        ],
+    )
+    def test_rejects_bad_sizes(self, sizes, message):
+        spec = uniform_product_spec((1, 1))
+        with pytest.raises(ValueError) as info:
+            self.kernel(spec, CylinderSet.whole_space(), ((0, 1), (0, 1)), sizes)
+        assert str(info.value) == message
+
+
 class TestProductSpec:
     def test_coordinate_resolution(self):
         spec = ProductMeasureSpec((uniform(1),), UniformTail(2))

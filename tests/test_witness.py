@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarnull import measures, witness
 from haarnull.acceptance import _witness_prefix_oracle
 from haarnull.measures import (
     CylinderSet,
@@ -292,6 +293,20 @@ class TestVerifyRestrictNormalize:
         )
         assert report.status == PASS
         assert report.lhs == report.rhs
+
+    def test_builds_no_convolution(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("the verifier built a convolution")
+
+        # every module that binds the public kernel, so a verifier that
+        # imported it by name is caught too
+        for module in (measures, witness):
+            if hasattr(module, "convolve"):
+                monkeypatch.setattr(module, "convolve", refuse)
+        mu = ProductMeasureSpec((coin_at(0), coin_at(0)))
+        trace = synthesize_witness(mu)
+        report = verify_restrict_normalize(mu, trace, CylinderSet(1, ((2,),)))
+        assert report.status == PASS
 
     def test_unshifted_spec_rejected(self):
         spec = ProductMeasureSpec((coin_at(2),))
