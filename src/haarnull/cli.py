@@ -187,6 +187,8 @@ def cmd_witness_verify_claim(args) -> Output:
 
 
 def cmd_witness_check_prefix(args) -> Output:
+    if args.witness == args.cylinder == "-":
+        raise ValueError("the witness and cylinder files cannot both be -")
     witness = _read_json(args.witness)
     if isinstance(witness, dict) and "witness" in witness:
         _no_unknown_fields(witness, {"witness"})

@@ -11,12 +11,14 @@ here, exactly and deterministically:
 The gap property is what makes the coin-flip bound work, and the bound is
 what makes translates of the encoded set small under every product of
 fair coin measures.  Both come down to one question, whether some pair of
-points is within 1 in every coordinate, so both checkers run on one sweep
+points is within 1 in every coordinate, so both checkers read one sweep
 over the sorted points that compares only pairs whose first coordinates
-differ by at most 1.  The coin-flip bound is then closed form: its
-lex-least counterexample is read off the close pairs.  Both checkers
-return `VerificationReport` values; the coin-flip check carries a budget
-on the pairs compared and reports exhaustion instead of running away.
+differ by at most 1, computed once per set.  The coin-flip bound is then
+closed form: its lex-least counterexample is read off the close pairs.
+Both checkers return `VerificationReport` values.  The coin-flip check
+carries a budget on the pairs the sweep compares; it counts them from the
+first coordinates alone and reports a count over budget as exhaustion
+without sweeping.
 
 Input errors come in two kinds.  `GraphDataParseError` marks input not
 shaped like graph data or an encoded set; `DatasetError` marks
@@ -27,6 +29,7 @@ second.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -106,7 +109,7 @@ class EncodedSet:
     Points are tuples of nonnegative codes; the constructor checks only
     that structure, so sets loaded from raw point lists (not just built
     from graph data) are representable.  The close-pair sweep both
-    checkers read is computed once per set.
+    checkers read is computed once per set, on first use.
     """
 
     depth: int
@@ -137,8 +140,8 @@ class EncodedSet:
         return len(self.points)
 
     @cached_property
-    def _sweep(self) -> tuple[list[tuple[int, int]], int]:
-        """`_close_pairs` of the points with no budget."""
+    def _sweep(self) -> list[tuple[int, int]]:
+        """`_close_pairs` of the points."""
         return _close_pairs(self.points)
 
 
@@ -205,19 +208,15 @@ def build_encoded_set(
     return _trusted_encoded_set(depth, tuple(points))
 
 
-def _close_pairs(
-    points: Sequence[tuple[int, ...]], budget: Optional[int] = None
-) -> tuple[Optional[list[tuple[int, int]]], int]:
-    """The pairs (i, j), i < j, of sorted points within 1 in every coordinate.
+def _close_pairs(points: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of sorted points within 1 in every coordinate,
+    in (i, j) order.
 
     Sorted points have nondecreasing first coordinates, so for each i only
-    the j with points[j][0] <= points[i][0] + 1 are compared.  Returns the
-    close pairs in (i, j) order and the number of pairs compared; once more
-    than `budget` pairs have been compared it stops and returns None in
-    place of the pairs.
+    the j with points[j][0] <= points[i][0] + 1 are compared; `_pairs_compared`
+    counts them.
     """
     close = []
-    compared = 0
     for i in range(len(points) - 1):
         p = points[i]
         top = p[0] + 1
@@ -225,15 +224,25 @@ def _close_pairs(
             q = points[j]
             if q[0] > top:
                 break
-            compared += 1
-            if budget is not None and compared > budget:
-                return None, compared
             for pv, qv in zip(p, q):
                 if not -1 <= pv - qv <= 1:
                     break
             else:
                 close.append((i, j))
-    return close, compared
+    return close
+
+
+def _pairs_compared(points: Sequence[tuple[int, ...]]) -> int:
+    """The number of pairs `_close_pairs` compares: the (i, j), i < j, of
+    sorted points with points[j][0] <= points[i][0] + 1.
+
+    With rest the sorted first codes of points[1:], point i is compared
+    with the points whose first codes are rest[i:bisect_right(rest,
+    points[i][0] + 1)].  Fewer than two points, as in every depth-0 set,
+    compare none.
+    """
+    rest = [q[0] for q in points[1:]]
+    return sum(bisect_right(rest, p[0] + 1) - i for i, p in enumerate(points[:-1]))
 
 
 def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
@@ -247,7 +256,7 @@ def check_pairwise_gap(es: EncodedSet) -> VerificationReport:
     appear at such a coordinate, and the pair is a counterexample.  Only
     the close pairs are decoded; every other pair counts as decided.
     """
-    close, _ = es._sweep
+    close = es._sweep
     undecidable = []
     failure = None
     for i, j in close:
@@ -291,19 +300,17 @@ def coinflip_bound(es: EncodedSet, budget: int = DEFAULT_BUDGET) -> Verification
     So the bound fails exactly when some pair is close, and the
     lexicographically least translate with two or more hits is the least
     lower corner tuple(-min(p_k, q_k)) over the close pairs; its hits are
-    the points it maps into the cube.  `budget` caps the pairs compared,
-    reported as `nodes_visited`; past it the result is budget-exceeded.
-    A budget of at least n(n - 1)/2, more than any sweep compares, reads
-    the set's own sweep.  The translate search this replaces is kept as
-    the independent oracle `acceptance._coinflip_search_oracle`.
+    the points it maps into the cube.  `budget` caps the pairs the sweep
+    compares, counted before it runs.  `nodes_visited` is that count, and a
+    count over budget is reported as budget-exceeded with `nodes_visited`
+    budget + 1 and no sweep; otherwise the set's own sweep is read.  The
+    translate search this replaces is kept as the independent oracle
+    `acceptance._coinflip_search_oracle`.
     """
     check_budget(budget)
     points = es.points
-    n = es.size
-    if budget >= n * (n - 1) // 2:
-        close, compared = es._sweep
-    else:
-        close, compared = _close_pairs(points, budget)
+    compared = min(_pairs_compared(points), budget + 1)
+    close = es._sweep if compared <= budget else None
     parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}
     if not close:  # no close pair, or None: the budget ran out first
         return VerificationReport(

@@ -23,7 +23,7 @@ mass, and the builders store the one they know already.  `convolve`,
 `measure_of`, `box_intersection_measure` and the private
 `_smoothed_box_intersection_measure` add and multiply these integers and
 divide once, building one `Fraction` per result (`convolve`: one per
-distinct mass); `translate_measure` shifts the form with the points.  The
+point); `translate_measure` shifts the form with the points.  The
 smoothed kernel reads a box measure of the convolution with a uniform
 product straight off the unsmoothed forms, so the restrict-normalize
 verifier builds no convolution.  The stored form would go stale if
@@ -181,9 +181,7 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
     With the integer forms (Dp, a) of p and (Dq, b) of q, the result's form
     is (Dp * Dq, c) with c(z) the integer sum of a(x) * b(y) over x + y = z.
     Every c is positive and the c sum to Dp * Dq, so the result is canonical
-    without a check.  Points with equal c share one Fraction(c, Dp * Dq),
-    which saves most constructions on the plateau of a convolution with a
-    wide uniform measure.
+    without a check; each point's mass is Fraction(c, Dp * Dq).
     """
     Dp, cp = p._form
     Dq, cq = q._form
@@ -194,8 +192,7 @@ def convolve(p: FiniteMeasureZ, q: FiniteMeasureZ) -> FiniteMeasureZ:
             z = x + y
             out[z] = out.get(z, 0) + a * b
     D = Dp * Dq
-    masses = {c: Fraction(c, D) for c in set(out.values())}
-    return _trusted_measure({z: masses[c] for z, c in out.items()}, D, out)
+    return _trusted_measure({z: Fraction(c, D) for z, c in out.items()}, D, out)
 
 
 def translate_measure(p: FiniteMeasureZ, shift: int) -> FiniteMeasureZ:

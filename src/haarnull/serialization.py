@@ -95,16 +95,22 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(text) -> Fraction:
-    """Parse "p/q" or a plain integer (string or int) into a Fraction."""
-    if isinstance(text, bool):
-        raise ValueError(f"not a rational: {text!r}")
-    if isinstance(text, int):
+    """Parse "p/q" or a plain integer (string or int) into a Fraction.
+
+    A string is an optional "-", ASCII digits, and optionally "/" and ASCII
+    digits: what `fraction_to_str` writes, or a plain integer.  Decimals,
+    exponents, spaces, "+" signs, underscores and other digits are not
+    rationals here, so a short string never costs a huge denominator.
+    """
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
+        parts = text.removeprefix("-").split("/")
+        if len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"not a rational: {text!r}") from exc
     raise ValueError(f"not a rational: {text!r}")
 
 

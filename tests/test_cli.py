@@ -1,6 +1,7 @@
 """Command line tests: exit codes, output formats, determinism."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -262,6 +263,21 @@ class TestWitnessCommands:
         )
         assert code == 1
         assert "budget-exceeded" in out
+
+    def test_check_prefix_reads_stdin_once(self, capsys, monkeypatch, tmp_path):
+        def stdin(data):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+        stdin(b'[3]\n{"depth": 1, "prefixes": []}\n')
+        code, out, err = run(capsys, "witness", "check-prefix", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: the witness and cylinder files cannot both be -\n"
+        cyl = tmp_path / "cyl.json"
+        cyl.write_text(json.dumps({"depth": 1, "prefixes": []}))
+        stdin(b"[3]")
+        code, out, _ = run(capsys, "witness", "check-prefix", "-", str(cyl))
+        assert code == 0
+        assert "witness-prefix: pass" in out
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     @pytest.mark.parametrize("prefixes", [[], [[0]]])
@@ -535,6 +551,10 @@ class TestStrictInput:
             spec_with(prefix=[{"weights": {" 01 ": "1"}}]),
             spec_with(prefix=[{"weights": {"+1": "1"}}]),
             spec_with(prefix=5),
+            spec_with(prefix=[{"weights": {"0": "0.5", "1": "1/2"}}]),
+            spec_with(prefix=[{"weights": {"0": "5e-1", "1": "1/2"}}]),
+            spec_with(prefix=[{"weights": {"0": " 1/2 ", "1": "1/2"}}]),
+            spec_with(prefix=[{"weights": {"0": "+1/2", "1": "1/2"}}]),
         ],
         ids=[
             "float-tail-size",
@@ -545,6 +565,10 @@ class TestStrictInput:
             "padded-key",
             "plus-signed-key",
             "prefix-not-a-list",
+            "decimal-mass",
+            "exponent-mass",
+            "padded-mass",
+            "plus-signed-mass",
         ],
     )
     def test_synth_rejects(self, capsys, tmp_path, spec):

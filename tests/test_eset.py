@@ -35,7 +35,13 @@ from haarnull.eset import (
     graph_datum_from_dict,
     load_graph_data,
 )
-from haarnull.report import BUDGET_EXCEEDED, FAIL, PASS, VerificationReport
+from haarnull.report import (
+    BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    FAIL,
+    PASS,
+    VerificationReport,
+)
 from haarnull.serialization import _unique_keys
 from oracles import prefix_in_support_box
 
@@ -588,14 +594,44 @@ class TestCoinflipBound:
         monkeypatch.setattr(
             eset, "_close_pairs", lambda *args: calls.append(args) or sweep(*args)
         )
-        es = EncodedSet(1, ((0,), (1,), (4,)))
-        check_pairwise_gap(es)
-        coinflip_bound(es)
-        coinflip_bound(es, budget=3)
-        assert calls == [(es.points,)]
-        # a budget below n(n - 1)/2 = 3 runs its own budgeted sweep
-        coinflip_bound(es, budget=2)
-        assert calls == [(es.points,), (es.points, 2)]
+        # the sweep compares (0,)-(1,) and (1,)-(2,); (4,) is out of reach
+        points = ((0,), (1,), (2,), (4,))
+        for budget in (1, 2, 3, DEFAULT_BUDGET):
+            checks = [check_pairwise_gap, lambda es: coinflip_bound(es, budget)]
+            for order in (checks, checks[::-1]):
+                es = EncodedSet(1, points)
+                calls.clear()
+                for check in order + order:
+                    check(es)
+                assert calls == [(points,)]
+            # a budget below the 2 pairs compared never sweeps
+            calls.clear()
+            coinflip_bound(EncodedSet(1, points), budget)
+            assert calls == ([] if budget < 2 else [(points,)])
+
+    def test_budget_is_checked_before_any_sweep(self, monkeypatch):
+        # 4,600 data whose first codes agree: the sweep would compare all
+        # 4,600 * 4,599 / 2 = 10,577,700 pairs, past the default budget
+        def no_sweep(points):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(eset, "_close_pairs", no_sweep)
+        data = [
+            GraphDatum((1, s, t), (0, 0, 0), (0, 0, 0))
+            for s in range(1, 69)
+            for t in range(1, 69)
+        ][:4600]
+        es = build_encoded_set(data)
+        assert len({p[0] for p in es.points}) == 1
+        report = coinflip_bound(es)
+        assert report.status == BUDGET_EXCEEDED
+        assert report.parameters["nodes_visited"] == DEFAULT_BUDGET + 1 == 10_000_001
+
+    @settings(deadline=None, max_examples=200)
+    @given(arbitrary_encoded_sets(max_depth=4, max_points=12))
+    def test_pairs_compared_counts_the_reference_sweep(self, es):
+        _, compared = budgeted_close_pairs(es.points)
+        assert eset._pairs_compared(es.points) == compared
 
     @settings(deadline=None, max_examples=80)
     @given(small_encoded_sets, st.integers(1, 40))
@@ -613,10 +649,31 @@ class TestCoinflipBound:
         assert _coinflip_search_oracle(es, budget) == recursive_coinflip(es, budget)
 
 
+def budgeted_close_pairs(points, budget=None):
+    """The close pairs (i, j), i < j, of sorted points and the number of pairs
+    compared, comparing only the j with points[j][0] <= points[i][0] + 1 and
+    stopping with None in place of the pairs once more than `budget` have
+    been compared: the reference for `_close_pairs` and `_pairs_compared`."""
+    close = []
+    compared = 0
+    for i in range(len(points) - 1):
+        p = points[i]
+        for j in range(i + 1, len(points)):
+            q = points[j]
+            if q[0] > p[0] + 1:
+                break
+            compared += 1
+            if budget is not None and compared > budget:
+                return None, compared
+            if all(-1 <= pv - qv <= 1 for pv, qv in zip(p, q)):
+                close.append((i, j))
+    return close, compared
+
+
 def uncached_coinflip(es, budget):
-    """The coin-flip report from a budgeted `_close_pairs` call of its own:
-    the reference for the sweep an `EncodedSet` keeps."""
-    close, compared = eset._close_pairs(es.points, budget)
+    """The coin-flip report from a budgeted sweep of its own: the reference
+    for the count and the cached sweep that `coinflip_bound` reads."""
+    close, compared = budgeted_close_pairs(es.points, budget)
     parameters = {"points": es.size, "budget": budget, "nodes_visited": compared}
     if not close:
         status = BUDGET_EXCEEDED if close is None else PASS

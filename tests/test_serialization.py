@@ -1,6 +1,7 @@
 """Serialization tests: rational strings, dict forms, report JSON."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -68,10 +69,38 @@ class TestFractionStrings:
         assert fraction_from_str("7") == 7
         assert fraction_from_str(7) == 7
         assert fraction_from_str("-2/6") == Fraction(-1, 3)
+        assert fraction_from_str("007/010") == Fraction(7, 10)
+        assert fraction_from_str("-0") == 0
+        assert fraction_from_str("1" + "0" * 4299) == 10**4299
 
     def test_rejects_junk(self):
-        for bad in ("", "a/b", "1/0", True, 1.5, None):
-            with pytest.raises(ValueError):
+        # only what `fraction_to_str` writes, or a plain integer: nothing
+        # else that `Fraction` alone would also take
+        for bad in (
+            "",
+            "a/b",
+            "1/0",
+            True,
+            1.5,
+            None,
+            "0.5",
+            "5e-1",
+            "1e-10000000",
+            " 1/2 ",
+            "1/2\n",
+            "+1/2",
+            "1_0/20",
+            "\u0661/2",
+            "1/\u00b2",
+            "-",
+            "--1",
+            "/2",
+            "1/",
+            "1/2/3",
+            "1/-2",
+            "9" * 4301,
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"not a rational: {bad!r}")):
                 fraction_from_str(bad)
 
 
