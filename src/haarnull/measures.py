@@ -28,6 +28,14 @@ smoothed kernel reads a box measure of the convolution with a uniform
 product straight off the unsmoothed forms, so the restrict-normalize
 verifier builds no convolution.  The stored form would go stale if
 `weights` changed, so treat `weights` as read-only.
+
+A uniform measure stores its weights and its counts as `_Interval`s,
+read-only mappings on {0, ..., k} in O(1) space, so `uniform(k)` costs the
+same memory and time whatever k is.  Lookups, `len`, `min_support`,
+`max_support` and a kernel's count on an interval (`_count_in`) read an
+interval in O(1).  What iterates the points still walks all k + 1 of them:
+`repr`, `hash`, `support`, `convolve` and `translate_measure`.  The
+restrict-normalize verifier calls none of these on its uniform products.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ class FiniteMeasureZ:
 
     Canonical form: zero-mass points are dropped, every remaining mass is a
     positive `Fraction`, and the masses sum to exactly 1.  The support is the
-    key set of `weights`.
+    key set of `weights`, a dict, or for a measure built by `uniform` a
+    read-only `_Interval`.
 
     The constructor takes integer points and `int` or `Fraction` masses and
     checks all of the above.  Measures built by `uniform`, `dirac`,
@@ -130,20 +139,22 @@ class FiniteMeasureZ:
 
     @property
     def min_support(self) -> int:
-        return min(self.weights)
+        w = self.weights
+        return 0 if type(w) is _Interval else min(w)
 
     @property
     def max_support(self) -> int:
-        return max(self.weights)
+        w = self.weights
+        return w.k if type(w) is _Interval else max(w)
 
     def mass(self, point: int) -> Fraction:
         return self.weights.get(point, Fraction(0))
 
 
 def _trusted_measure(
-    weights: dict[int, Fraction], D: int, counts: dict[int, int]
+    weights: Mapping[int, Fraction], D: int, counts: Mapping[int, int]
 ) -> FiniteMeasureZ:
-    """Wrap a fresh dict that is already in canonical form, with its integer form.
+    """Wrap a fresh mapping already in canonical form, with its integer form.
 
     The caller guarantees integer points and positive `Fraction` masses that
     sum to exactly 1, and weights[z] == Fraction(counts[z], D) for every z.
@@ -156,15 +167,71 @@ def _trusted_measure(
     return m
 
 
+class _Interval(Mapping):
+    """The read-only mapping z -> value on {0, ..., k}, in O(1) space.
+
+    `get`, `in`, `[]` and `len` cost O(1) and agree with the dict of the
+    same items for every key that dict accepts, `True`, `1.0` and
+    `Fraction(1)` included; an unhashable key raises `TypeError` as it does
+    there.  `==` against another interval compares (k, value) in O(1).
+    Iteration walks range(k + 1), so what iterates the items costs k + 1
+    steps: `repr` (the dict's repr), and on a measure `hash`, `support`,
+    `convolve` and `translate_measure`.
+    """
+
+    __slots__ = ("k", "value")
+
+    def __init__(self, k: int, value):
+        self.k = k
+        self.value = value
+
+    def __contains__(self, key) -> bool:
+        if type(key) is not int:
+            hash(key)  # an unhashable key raises TypeError, as in a dict
+            try:
+                n = int(key.real)
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                return False
+            if n != key or hash(n) != hash(key):
+                return False
+            key = n
+        return 0 <= key <= self.k
+
+    def __getitem__(self, key):
+        if type(key) is int and 0 <= key <= self.k or key in self:
+            return self.value
+        raise KeyError(key)
+
+    def get(self, key, default=None):
+        if type(key) is int and 0 <= key <= self.k or key in self:
+            return self.value
+        return default
+
+    def __len__(self) -> int:
+        return self.k + 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.k + 1))
+
+    def __eq__(self, other):
+        if type(other) is _Interval:
+            return self.k == other.k and self.value == other.value
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def uniform(k: int) -> FiniteMeasureZ:
-    """The uniform measure on {0, ..., k}, mass 1/(k+1) per point."""
+    """The uniform measure on {0, ..., k}, mass 1/(k+1) per point.
+
+    Its weights and its counts are intervals (`_Interval`), so it takes
+    O(1) memory and time to build whatever k is.
+    """
     _check_int(k, "uniform size")
     if k < 0:
         raise ValueError(f"uniform size must be >= 0, got {k}")
-    points = range(k + 1)
-    return _trusted_measure(
-        dict.fromkeys(points, Fraction(1, k + 1)), k + 1, dict.fromkeys(points, 1)
-    )
+    return _trusted_measure(_Interval(k, Fraction(1, k + 1)), k + 1, _Interval(k, 1))
 
 
 def dirac(z: int) -> FiniteMeasureZ:
@@ -406,6 +473,14 @@ def box_measure(spec: ProductMeasureSpec, box: Box) -> Fraction:
     return box_intersection_measure(spec, _WHOLE_SPACE, box)
 
 
+def _count_in(counts: Mapping[int, int], lo: int, hi: int) -> int:
+    """The sum of counts[z] over lo <= z <= hi: the overlap length times
+    the value for an interval, in O(1); one pass over the points otherwise."""
+    if type(counts) is _Interval:
+        return max(0, min(hi, counts.k) - max(lo, 0) + 1) * counts.value
+    return sum([c for z, c in counts.items() if lo <= z <= hi])
+
+
 def box_intersection_measure(
     spec: ProductMeasureSpec, cyl: CylinderSet, box: Box
 ) -> Fraction:
@@ -416,12 +491,17 @@ def box_intersection_measure(
     lie inside the box) and ranges over the box intervals on the remaining
     coordinates, so its measure factors per coordinate.  The box must be at
     least as deep as the cylinder set.
+
+    Each coordinate past the cylinder depth contributes its count on its
+    box interval, one `_count_in`: O(1) for a uniform coordinate, one pass
+    over the support otherwise.  Each prefix reads one count per pinned
+    coordinate, so no step walks the points of a uniform coordinate.
     """
     forms = _box_forms(spec, cyl, box)
     tail_factor = 1
     for n in range(cyl.depth, len(box)):
         lo, hi = box[n]
-        inside = sum([c for z, c in forms[n][1].items() if lo <= z <= hi])
+        inside = _count_in(forms[n][1], lo, hi)
         if not inside:
             return Fraction(0)
         tail_factor *= inside

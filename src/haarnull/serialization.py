@@ -1,11 +1,13 @@
 """JSON-compatible text forms for measures, specs, and cylinder sets.
 
-Rationals travel as "p/q" strings so every value survives a round trip
-exactly.  Integers are accepted on input wherever a rational is expected.
-Parsing is strict: no JSON object may repeat a key or carry a field the
-format does not define, integer fields must be JSON integers (no floats,
-booleans or strings), support points must be canonical decimal keys, and
-every malformed shape raises `ValueError`.
+Rationals travel as "p/q" strings: `fraction_to_str` writes one, and
+`fraction_from_str` reads it back exactly, as `measure_from_dict` and
+`spec_from_dict` do for every mass.  Integers are accepted on input
+wherever a rational is expected.  Parsing is strict: no JSON object may
+repeat a key or carry a field the format does not define, integer fields
+must be JSON integers (no floats, booleans or strings), support points
+must be canonical decimal keys, and every malformed shape raises
+`ValueError`.
 """
 
 from __future__ import annotations
@@ -28,11 +30,8 @@ __all__ = [
     "fraction_to_str",
     "fraction_from_str",
     "jsonify",
-    "measure_to_dict",
     "measure_from_dict",
-    "spec_to_dict",
     "spec_from_dict",
-    "cylinder_to_dict",
     "cylinder_from_dict",
 ]
 
@@ -165,12 +164,6 @@ def _point_from_key(key) -> int:
     raise ValueError(f"support point must be a canonical integer, got {key!r}")
 
 
-def measure_to_dict(m: FiniteMeasureZ) -> dict:
-    return {
-        "weights": {str(z): fraction_to_str(w) for z, w in sorted(m.weights.items())}
-    }
-
-
 def measure_from_dict(d: dict) -> FiniteMeasureZ:
     if not isinstance(d, dict) or "weights" not in d:
         raise ValueError("measure object needs a 'weights' mapping")
@@ -181,14 +174,6 @@ def measure_from_dict(d: dict) -> FiniteMeasureZ:
     return FiniteMeasureZ(
         {_point_from_key(z): fraction_from_str(w) for z, w in weights.items()}
     )
-
-
-def _tail_to_dict(tail: TailPolicy):
-    if tail is None:
-        return None
-    if isinstance(tail, UniformTail):
-        return {"kind": "uniform", "k": tail.k}
-    return {"kind": "point", "z": tail.z}
 
 
 def _tail_from_dict(d) -> TailPolicy:
@@ -206,23 +191,12 @@ def _tail_from_dict(d) -> TailPolicy:
     return UniformTail(d["k"]) if kind == "uniform" else PointMassTail(d["z"])
 
 
-def spec_to_dict(spec: ProductMeasureSpec) -> dict:
-    return {
-        "prefix": [measure_to_dict(m) for m in spec.prefix],
-        "tail": _tail_to_dict(spec.tail),
-    }
-
-
 def spec_from_dict(d: dict) -> ProductMeasureSpec:
     if not isinstance(d, dict) or "prefix" not in d:
         raise ValueError("spec object needs a 'prefix' list")
     _no_unknown_fields(d, {"prefix", "tail"})
     prefix = tuple(measure_from_dict(m) for m in _list(d["prefix"], "'prefix'"))
     return ProductMeasureSpec(prefix, _tail_from_dict(d.get("tail")))
-
-
-def cylinder_to_dict(cyl: CylinderSet) -> dict:
-    return {"depth": cyl.depth, "prefixes": [list(s) for s in cyl.prefixes]}
 
 
 def cylinder_from_dict(d: dict) -> CylinderSet:

@@ -41,6 +41,7 @@ from .measures import (
     ProductMeasureSpec,
     UniformTail,
     UnsupportedDepthError,
+    _WHOLE_SPACE,
     _check_int,
     _smoothed_box_intersection_measure,
     box_intersection_measure,
@@ -252,9 +253,7 @@ def verify_restrict_normalize(
     flat_xb = box_intersection_measure(flat, X, box)
     wit_xb = box_intersection_measure(wit, X, box)
     flat_b = box_measure(flat, box)
-    nu_b = _smoothed_box_intersection_measure(
-        mu, CylinderSet.whole_space(), box, trace.sizes
-    )
+    nu_b = _smoothed_box_intersection_measure(mu, _WHOLE_SPACE, box, trace.sizes)
     wit_x = measure_of(wit, X)
 
     lhs = {

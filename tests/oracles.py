@@ -1,11 +1,22 @@
-"""Cylinder-set algebra, boxes and codec predicates that only the tests use.
+"""Cylinder-set algebra, boxes, codec predicates and JSON writers that only
+the tests use.
 
 The library computes measures without building unions, intersections or
 refinements of cylinder sets; the tests build them to have an enumeration
-oracle for every measure kernel.
+oracle for every measure kernel.  The library parses measures, specs and
+cylinder sets but never writes them; the tests write them to check that
+the parsers read back what they are given.
 """
 
-from haarnull.measures import CylinderSet, lattice_points
+from haarnull.measures import (
+    CylinderSet,
+    FiniteMeasureZ,
+    ProductMeasureSpec,
+    TailPolicy,
+    UniformTail,
+    lattice_points,
+)
+from haarnull.serialization import fraction_to_str
 
 
 def _check_same_depth(a: CylinderSet, b: CylinderSet) -> None:
@@ -50,3 +61,28 @@ def triple_in_domain(t) -> bool:
 def prefix_in_support_box(p) -> bool:
     """A `PointPrefix` with every offset in the support box: g(k) in [0, a(k)]."""
     return all(0 <= gk <= ak for ak, gk in zip(p.a, p.g))
+
+
+def measure_to_dict(m: FiniteMeasureZ) -> dict:
+    return {
+        "weights": {str(z): fraction_to_str(w) for z, w in sorted(m.weights.items())}
+    }
+
+
+def _tail_to_dict(tail: TailPolicy):
+    if tail is None:
+        return None
+    if isinstance(tail, UniformTail):
+        return {"kind": "uniform", "k": tail.k}
+    return {"kind": "point", "z": tail.z}
+
+
+def spec_to_dict(spec: ProductMeasureSpec) -> dict:
+    return {
+        "prefix": [measure_to_dict(m) for m in spec.prefix],
+        "tail": _tail_to_dict(spec.tail),
+    }
+
+
+def cylinder_to_dict(cyl: CylinderSet) -> dict:
+    return {"depth": cyl.depth, "prefixes": [list(s) for s in cyl.prefixes]}

@@ -1,15 +1,21 @@
 """Exact-arithmetic tests for measures, product specs, and cylinder sets."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
+from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haarnull.acceptance import convolve_oracle
+from haarnull.acceptance import (
+    _explicit_uniform,
+    convolve_oracle,
+    restrict_normalize_instances,
+)
 from haarnull import measures
 from haarnull.measures import (
     CylinderSet,
@@ -31,6 +37,7 @@ from haarnull.measures import (
     uniform_product_spec,
 )
 from haarnull.serialization import measure_from_dict
+from haarnull.witness import synthesize_witness
 from oracles import expand, intersect, support_box, union
 
 
@@ -224,7 +231,7 @@ class TestTrustedConstruction:
         )
     )
     def test_built_measures_equal_checked_ones(self, m):
-        assert type(m.weights) is dict
+        assert isinstance(m.weights, Mapping)
         assert all(type(z) is int for z in m.weights)
         assert all(type(w) is Fraction and w > 0 for w in m.weights.values())
         checked = FiniteMeasureZ(dict(m.weights))
@@ -249,6 +256,176 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError) as info:
             measure_from_dict({"weights": {"0": "1/2"}})
         assert str(info.value) == "total mass is 1/2, expected exactly 1"
+
+
+def interval_keys(k):
+    """Keys a dict on {0, ..., k} may or may not hold: ints in and around
+    it, booleans, floats and Fractions, equal to such ints or not."""
+    near = st.integers(-3, k + 3)
+    return st.one_of(
+        near,
+        st.booleans(),
+        near.map(float),
+        st.floats(),
+        near.map(Fraction),
+        st.fractions(),
+    )
+
+
+class TestUniformIntervals:
+    """A uniform measure stores its weights and its counts as `_Interval`s,
+    which read like the dicts of the same items."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 400).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(interval_keys(k), max_size=12))
+        )
+    )
+    def test_intervals_read_like_their_dicts(self, drawn):
+        k, keys = drawn
+        m = uniform(k)
+        explicit = _explicit_uniform(k)
+        D, counts = m._form
+        assert D == explicit._form[0] == k + 1
+        for interval, checked in ((m.weights, explicit.weights), (counts, explicit._form[1])):
+            plain = dict(interval)
+            assert plain == checked
+            assert len(interval) == len(plain) == k + 1
+            assert list(interval) == list(plain) == list(range(k + 1))
+            assert interval == plain and plain == interval and interval == checked
+            for key in keys:
+                assert (key in interval) == (key in plain)
+                assert interval.get(key) == plain.get(key)
+                assert interval.get(key, "absent") == plain.get(key, "absent")
+                if key in plain:
+                    assert interval[key] == plain[key]
+                    assert type(interval[key]) is type(plain[key])
+                else:
+                    with pytest.raises(KeyError):
+                        interval[key]
+        assert m == explicit and explicit == m
+        assert hash(m) == hash(explicit)
+        assert repr(m) == repr(explicit)
+
+    @given(
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.sampled_from([1, 2, Fraction(1), Fraction(1, 2)]),
+        st.sampled_from([1, 2, Fraction(1), Fraction(1, 2)]),
+    )
+    def test_intervals_compare_as_their_dicts(self, j, k, a, b):
+        left, right = measures._Interval(j, a), measures._Interval(k, b)
+        assert (left == right) == (dict(left) == dict(right))
+        assert (left != right) == (dict(left) != dict(right))
+        assert (uniform(j) == uniform(k)) == (j == k)
+
+    def test_an_unhashable_key_raises_as_in_a_dict(self):
+        for mapping in (uniform(3).weights, dict(uniform(3).weights)):
+            for lookup in (
+                lambda: [1] in mapping,
+                lambda: mapping.get([1]),
+                lambda: mapping[[1]],
+            ):
+                with pytest.raises(TypeError):
+                    lookup()
+
+    def test_a_key_equal_to_a_point_but_hashed_apart_is_absent(self):
+        class EqualToOne:
+            real = 1
+
+            def __eq__(self, other):
+                return other == 1
+
+            def __hash__(self):
+                return 12345
+
+        key = EqualToOne()
+        for mapping in (uniform(3).weights, dict(uniform(3).weights)):
+            assert key not in mapping
+            assert mapping.get(key) is None
+            with pytest.raises(KeyError):
+                mapping[key]
+
+    def test_a_large_uniform(self):
+        k = 10**6
+        m = uniform(k)
+        assert (m.min_support, m.max_support) == (0, k)
+        assert m.mass(k) == Fraction(1, k + 1) and m.mass(k + 1) == 0
+        assert len(m.weights) == k + 1
+        assert m == uniform(k) and m != uniform(k - 1)
+        assert box_measure(ProductMeasureSpec((m,)), ((1, k),)) == Fraction(k, k + 1)
+
+    @given(st.integers(0, 30), st.integers(-40, 40), st.integers(-40, 40))
+    @example(5, 1, 3)  # inside
+    @example(5, 0, 5)  # the whole interval
+    @example(5, -2, 2)  # straddling either end
+    @example(5, 3, 9)
+    @example(5, -5, 12)  # covering it
+    @example(5, 6, 9)  # past either end
+    @example(5, -4, -1)
+    @example(5, 4, 2)  # lo > hi
+    @example(5, 9, -9)
+    def test_count_in_matches_the_sum(self, k, lo, hi):
+        m = uniform(k)
+        for counts in (m._form[1], m.weights):
+            plain = dict(counts)
+            want = sum(c for z, c in plain.items() if lo <= z <= hi)
+            assert measures._count_in(counts, lo, hi) == want
+            assert measures._count_in(plain, lo, hi) == want
+
+    @given(st.data())
+    def test_kernels_agree_with_explicit_uniforms(self, data):
+        sizes = data.draw(st.lists(st.integers(0, 6), max_size=3))
+        box = tuple(
+            data.draw(st.tuples(st.integers(-2, k + 2), st.integers(-2, k + 2)))
+            for k in sizes
+        )
+        depth = data.draw(st.integers(0, len(sizes)))
+        prefix = st.tuples(*[st.integers(-2, k + 2) for k in sizes[:depth]])
+        cyl = CylinderSet(depth, tuple(data.draw(st.lists(prefix, max_size=5))))
+        built = uniform_product_spec(sizes)
+        explicit = ProductMeasureSpec(tuple(_explicit_uniform(k) for k in sizes))
+        for kernel in (
+            lambda spec: box_intersection_measure(spec, cyl, box),
+            lambda spec: box_measure(spec, box),
+            lambda spec: measure_of(spec, cyl),
+        ):
+            got = kernel(built)
+            assert type(got) is Fraction
+            assert got == kernel(explicit)
+
+
+def traced_peak(run) -> int:
+    """How far the `tracemalloc` peak rises above the traced memory while
+    run() runs, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """A uniform size is a number in the input; the memory a computation
+    takes must not grow with it."""
+
+    def test_a_huge_uniform(self):
+        assert traced_peak(lambda: uniform(10**6)) < 10**6
+
+    def test_deep_restrict_normalize_instances(self):
+        # smoothing sizes reach 2^(n+2) times the radius at depth 14
+        assert traced_peak(lambda: list(restrict_normalize_instances(0, 20, 14))) < 2 * 10**6
+
+    def test_synthesis_on_a_huge_uniform_tail(self):
+        spec = ProductMeasureSpec((), UniformTail(10**6))
+        assert traced_peak(lambda: synthesize_witness(materialize(spec, 1))) < 10**6
 
 
 class TestConvolve:

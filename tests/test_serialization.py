@@ -21,16 +21,14 @@ from haarnull.report import PASS, FAIL, VerificationReport
 from haarnull.serialization import (
     _unique_keys,
     cylinder_from_dict,
-    cylinder_to_dict,
     fraction_from_str,
     fraction_to_str,
     jsonify,
     measure_from_dict,
-    measure_to_dict,
     parse_json,
     spec_from_dict,
-    spec_to_dict,
 )
+from oracles import cylinder_to_dict, measure_to_dict, spec_to_dict
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=1000
