@@ -33,15 +33,25 @@ A uniform measure stores its weights and its counts as `_Interval`s,
 read-only mappings on {0, ..., k} in O(1) space, so `uniform(k)` costs the
 same memory and time whatever k is.  Lookups, `len`, `min_support`,
 `max_support` and a kernel's count on an interval (`_count_in`) read an
-interval in O(1).  What iterates the points still walks all k + 1 of them:
-`repr`, `hash`, `support`, `convolve` and `translate_measure`.  The
+interval in O(1), and so does `==` against another interval or against a
+mapping of another length.  What iterates the points still walks all k + 1
+of them: `repr`, `hash`, `support`, `convolve` and `translate_measure`.  The
 restrict-normalize verifier calls none of these on its uniform products.
+
+There is one uniform measure per size.  `uniform(k)` checks k on every
+call, then returns the measure from a bounded cache keyed by the checked
+int (`_UNIFORM_CACHE_SIZE` entries, each O(1) in size), so the few sizes
+the size rule takes are each built once.  `uniform_product_spec` wraps its
+tuple of uniform measures without re-checking the entries, and the kernels
+read the integer forms straight off the spec's prefix when it reaches the
+depth they need, resolving the tail only past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iter_product
 from math import lcm, prod
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -68,6 +78,11 @@ __all__ = [
 ]
 
 Box = tuple[tuple[int, int], ...]
+
+# How many uniform measures `uniform` keeps built.  The size rule
+# max(2r + 1, 2^(n+2) * r) takes a few dozen values over a whole battery
+# or CLI run, so this holds them all, and each entry takes O(1) memory.
+_UNIFORM_CACHE_SIZE = 256
 
 
 class UnsupportedDepthError(Exception):
@@ -173,7 +188,9 @@ class _Interval(Mapping):
     `get`, `in`, `[]` and `len` cost O(1) and agree with the dict of the
     same items for every key that dict accepts, `True`, `1.0` and
     `Fraction(1)` included; an unhashable key raises `TypeError` as it does
-    there.  `==` against another interval compares (k, value) in O(1).
+    there.  `==` against another interval compares (k, value) in O(1), and
+    against another mapping compares the lengths first, so only a mapping
+    of k + 1 items is compared item by item.
     Iteration walks range(k + 1), so what iterates the items costs k + 1
     steps: `repr` (the dict's repr), and on a measure `hash`, `support`,
     `convolve` and `translate_measure`.
@@ -216,6 +233,8 @@ class _Interval(Mapping):
     def __eq__(self, other):
         if type(other) is _Interval:
             return self.k == other.k and self.value == other.value
+        if isinstance(other, Mapping) and len(other) != self.k + 1:
+            return False
         return super().__eq__(other)
 
     def __repr__(self) -> str:
@@ -226,11 +245,20 @@ def uniform(k: int) -> FiniteMeasureZ:
     """The uniform measure on {0, ..., k}, mass 1/(k+1) per point.
 
     Its weights and its counts are intervals (`_Interval`), so it takes
-    O(1) memory and time to build whatever k is.
+    O(1) memory and time to build whatever k is.  The argument is checked
+    on every call; the measure comes from a bounded cache of the sizes used
+    last, so a size that recurs is built once and shared.
     """
-    _check_int(k, "uniform size")
+    if type(k) is not int:
+        k = int(_check_int(k, "uniform size"))
     if k < 0:
         raise ValueError(f"uniform size must be >= 0, got {k}")
+    return _uniform(k)
+
+
+@lru_cache(maxsize=_UNIFORM_CACHE_SIZE)
+def _uniform(k: int) -> FiniteMeasureZ:
+    """uniform(k) for a plain int k >= 0 that the caller has checked."""
     return _trusted_measure(_Interval(k, Fraction(1, k + 1)), k + 1, _Interval(k, 1))
 
 
@@ -351,7 +379,10 @@ class ProductMeasureSpec:
 
 def uniform_product_spec(sizes: Sequence[int]) -> ProductMeasureSpec:
     """Product of uniform({0..sizes[n]}) coordinate measures, with no tail."""
-    return ProductMeasureSpec(tuple(uniform(k) for k in sizes))
+    spec = object.__new__(ProductMeasureSpec)
+    # every entry is a FiniteMeasureZ, so the constructor's checks hold
+    spec.__dict__.update(prefix=tuple([uniform(k) for k in sizes]), tail=None)
+    return spec
 
 
 def materialize(spec: ProductMeasureSpec, depth: int) -> ProductMeasureSpec:
@@ -440,7 +471,7 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
             f"cylinder depth {cyl.depth} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    forms = [spec.coordinate(n)._form for n in range(cyl.depth)]
+    forms = _forms(spec, cyl.depth)
     counts = [c for _, c in forms]
     num = 0
     for s in cyl.prefixes:
@@ -451,6 +482,15 @@ def measure_of(spec: ProductMeasureSpec, cyl: CylinderSet) -> Fraction:
                 break
         num += f
     return Fraction(num, prod([D for D, _ in forms]))
+
+
+def _forms(spec: ProductMeasureSpec, depth: int) -> list:
+    """The integer forms of the first `depth` coordinates of a spec
+    resolvable to that depth: read off the prefix when it is deep enough."""
+    prefix = spec.prefix
+    if depth <= len(prefix):
+        return [m._form for m in prefix[:depth]]
+    return [spec.coordinate(n)._form for n in range(depth)]
 
 
 def _box_forms(spec: ProductMeasureSpec, cyl: CylinderSet, box: Box) -> list:
@@ -465,7 +505,7 @@ def _box_forms(spec: ProductMeasureSpec, cyl: CylinderSet, box: Box) -> list:
             f"box depth {len(box)} exceeds prefix depth {spec.depth} "
             "and the spec declares no tail policy"
         )
-    return [spec.coordinate(n)._form for n in range(len(box))]
+    return _forms(spec, len(box))
 
 
 def box_measure(spec: ProductMeasureSpec, box: Box) -> Fraction:
@@ -494,7 +534,7 @@ def box_intersection_measure(
 
     Each coordinate past the cylinder depth contributes its count on its
     box interval, one `_count_in`: O(1) for a uniform coordinate, one pass
-    over the support otherwise.  Each prefix reads one count per pinned
+    over the support otherwise.  Each prefix makes one `get` per pinned
     coordinate, so no step walks the points of a uniform coordinate.
     """
     forms = _box_forms(spec, cyl, box)
@@ -509,9 +549,10 @@ def box_intersection_measure(
     for s in cyl.prefixes:
         f = tail_factor
         for (lo, hi), (_, counts), v in zip(box, forms, s):
-            if not lo <= v <= hi or v not in counts:
+            c = counts.get(v) if lo <= v <= hi else None
+            if c is None:
                 break
-            f *= counts[v]
+            f *= c
         else:
             num += f
     return Fraction(num, prod([D for D, _ in forms]))
@@ -537,7 +578,8 @@ def _smoothed_box_intersection_measure(
             f"{len(sizes)} smoothing sizes for a box of depth {len(box)}"
         )
     for s in sizes:
-        _check_int(s, "uniform size")
+        if type(s) is not int:
+            _check_int(s, "uniform size")
         if s < 0:
             raise ValueError(f"uniform size must be >= 0, got {s}")
     tail_factor = 1

@@ -10,7 +10,12 @@ given columns (shifts, radii, sizes) and derives the other three (the
 witness entries and both partial-product columns) from them once, so no
 column can disagree with another.  Since 1 - radius/(size+1) equals
 (witness+1)/(size+1), each deficiency partial is the reciprocal of the scale
-partial at the same coordinate, and the trace keeps one running product.
+partial at the same coordinate, and the trace keeps one running product, a
+reduced `Fraction` multiplied by one small factor per coordinate.  The
+57/100 floor is tested on its integer terms, and each deficiency partial is
+taken as `running ** -1`, which swaps the reduced terms without a gcd.  (A
+running product kept as two unreduced integers, reduced into a `Fraction` at
+every coordinate, takes a gcd of two D^2-bit integers at depth D instead.)
 
 `verify_restrict_normalize` checks, as exact rational identities at the
 spec's depth, the facts that make the construction work: convolving the
@@ -94,9 +99,15 @@ class SynthesisTrace:
     deficiency_partial[k]  running product of (1 - radii[n]/(sizes[n]+1)), n <= k,
                            which is 1 / scale_partial[k]
 
-    The given columns take integers only; nothing is rounded or parsed.  The
-    deficiency partials are nonincreasing, and construction rejects sizes
-    that let them dip below DEFICIENCY_LOWER_BOUND.
+    The given columns take integers only; nothing is rounded or parsed: a
+    plain int is taken as it is and any other entry goes to `_check_int`.
+    The deficiency partials are nonincreasing, and construction rejects
+    sizes that let them dip below DEFICIENCY_LOWER_BOUND.  With the running
+    scale partial num/den in lowest terms, that test is the integer
+    comparison 100 * den < 57 * num, and each deficiency partial is
+    `running ** -1`, the same terms swapped, so the only gcds per coordinate
+    are those of the small factor (size+1)/(witness+1) with the running
+    terms.
     """
 
     shifts: tuple[int, ...]
@@ -107,13 +118,16 @@ class SynthesisTrace:
     deficiency_partial: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
-        shifts = tuple(_check_int(v, "shift") for v in self.shifts)
-        radii = tuple(_check_int(v, "radius") for v in self.radii)
-        sizes = tuple(_check_int(v, "size") for v in self.sizes)
+        shifts = _int_column(self.shifts, "shift")
+        radii = _int_column(self.radii, "radius")
+        sizes = _int_column(self.sizes, "size")
         if not (len(shifts) == len(radii) == len(sizes)):
             raise ValueError("per-coordinate columns have unequal lengths")
         witness, scale, defic = [], [], []
         running = Fraction(1)
+        # deficiency partial = 1 / running >= 57/100, tested on integers
+        bound_num = DEFICIENCY_LOWER_BOUND.numerator
+        bound_den = DEFICIENCY_LOWER_BOUND.denominator
         for n, (m, s) in enumerate(zip(radii, sizes)):
             if m < 0:
                 raise ValueError(f"radius {m} at coordinate {n} is negative")
@@ -121,14 +135,16 @@ class SynthesisTrace:
                 raise ValueError(f"size {s} at coordinate {n} is not > 2*{m}")
             w = s - m
             running *= Fraction(s + 1, w + 1)
-            defic.append(1 / running)  # 1 - m/(s+1) = (w+1)/(s+1)
-            if defic[-1] < DEFICIENCY_LOWER_BOUND:
+            if bound_den * running.denominator < bound_num * running.numerator:
                 raise ValueError(
-                    f"deficiency partial {defic[-1]} at {n} dips below "
+                    f"deficiency partial {running ** -1} at {n} dips below "
                     f"{DEFICIENCY_LOWER_BOUND}"
                 )
             witness.append(w)
             scale.append(running)
+            # 1 - m/(s+1) = (w+1)/(s+1); a negative power of a reduced
+            # Fraction swaps its terms without taking a gcd
+            defic.append(running ** -1)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "sizes", sizes)
@@ -139,6 +155,11 @@ class SynthesisTrace:
     @property
     def depth(self) -> int:
         return len(self.shifts)
+
+
+def _int_column(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """The entries as a tuple, each a plain int or checked by `_check_int`."""
+    return tuple([v if type(v) is int else _check_int(v, what) for v in values])
 
 
 def shift_to_nonpositive(
@@ -178,7 +199,8 @@ def choose_uniform_sizes(radii: Sequence[int]) -> tuple[int, ...]:
     """
     sizes = []
     for n, m in enumerate(radii):
-        _check_int(m, "radius")
+        if type(m) is not int:
+            _check_int(m, "radius")
         if m < 0:
             raise ValueError(f"radius {m} at coordinate {n} is negative")
         sizes.append(max(2 * m + 1, (1 << (n + 2)) * m))
@@ -188,14 +210,17 @@ def choose_uniform_sizes(radii: Sequence[int]) -> tuple[int, ...]:
 def synthesize_witness(spec: ProductMeasureSpec) -> SynthesisTrace:
     """Run the full pipeline on a spec with finitely supported coordinates.
 
-    Reads each prefix coordinate's shift (its support maximum) and radius
-    (support maximum minus minimum) straight off the measure, the columns
-    `shift_to_nonpositive` would give, without translating anything, and
-    applies the size rule; the trace derives the witness entries and both
-    partial-product columns.
+    Reads each prefix coordinate's shift (its support maximum, read once)
+    and radius (support maximum minus minimum) straight off the measure,
+    the columns `shift_to_nonpositive` would give, without translating
+    anything, and applies the size rule; the trace derives the witness
+    entries and both partial-product columns.
     """
-    shifts = [m.max_support for m in spec.prefix]
-    radii = [m.max_support - m.min_support for m in spec.prefix]
+    shifts, radii = [], []
+    for m in spec.prefix:
+        top = m.max_support
+        shifts.append(top)
+        radii.append(top - m.min_support)
     return SynthesisTrace(shifts, radii, choose_uniform_sizes(radii))
 
 
@@ -235,8 +260,9 @@ def verify_restrict_normalize(
     All four are exact rational equalities; the report carries both sides.
     nu(X & B) and nu(B) come from `_smoothed_box_intersection_measure`,
     which reads them off mu's integer forms without building nu; flat and
-    wit are built by `uniform_product_spec` and measured by
-    `box_intersection_measure`, `box_measure` and `measure_of`.
+    wit are built by `uniform_product_spec`, from the one cached uniform
+    measure per size, and measured by `box_intersection_measure`,
+    `box_measure` and `measure_of`.
     """
     _check_shifted(mu, trace)
     d = mu.depth

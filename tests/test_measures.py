@@ -427,6 +427,71 @@ class TestMemoryBound:
         spec = ProductMeasureSpec((), UniformTail(10**6))
         assert traced_peak(lambda: synthesize_witness(materialize(spec, 1))) < 10**6
 
+    @pytest.mark.parametrize("k", [10**6, 10**12])
+    def test_a_huge_uniform_against_a_small_measure(self, k):
+        # a mapping of another length is unequal on its length alone
+        small = FiniteMeasureZ({0: 1})
+
+        def compare():
+            assert uniform(k) != small and small != uniform(k)
+            assert uniform(k).weights != {0: Fraction(1)}
+            assert {0: 1} != uniform(k)._form[1]
+
+        assert traced_peak(compare) < 10**5
+
+
+class TestUniformCache:
+    """`uniform` checks its argument on every call and builds each size once."""
+
+    def test_a_cached_size_still_rejects_bad_arguments(self):
+        uniform(1)
+        for k, message in (
+            (True, "uniform size must be an integer, got True"),
+            (1.0, "uniform size must be an integer, got 1.0"),
+            (-1, "uniform size must be >= 0, got -1"),
+        ):
+            with pytest.raises(ValueError) as info:
+                uniform(k)
+            assert str(info.value) == message
+
+    def test_an_int_subclass_gets_the_plain_int_measure(self):
+        class Size(int):
+            pass
+
+        m = uniform(Size(5))
+        assert m is uniform(5)
+        assert type(m.max_support) is int
+
+    @given(st.integers(0, 400))
+    def test_cached_measures_equal_checked_ones(self, k):
+        m = uniform(k)
+        assert uniform(k) is m
+        explicit = _explicit_uniform(k)
+        assert m == explicit and explicit == m
+        assert hash(m) == hash(explicit)
+        assert repr(m) == repr(explicit)
+
+    def test_the_cache_stays_bounded(self):
+        bound = measures._UNIFORM_CACHE_SIZE
+        sizes = range(10**9, 10**9 + 10 * bound)
+
+        def fill():
+            for k in sizes:
+                uniform(k)
+
+        peak = traced_peak(fill)
+        assert measures._uniform.cache_info().currsize <= bound
+        # an entry is a measure, its dict, two intervals and a Fraction
+        assert peak < 1000 * bound
+
+    @given(st.lists(st.integers(0, 40), max_size=6))
+    def test_uniform_products_equal_checked_ones(self, sizes):
+        built = uniform_product_spec(sizes)
+        checked = ProductMeasureSpec(tuple(_explicit_uniform(k) for k in sizes))
+        assert built == checked
+        assert hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+
 
 class TestConvolve:
     def test_two_fair_coins(self):

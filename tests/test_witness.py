@@ -224,14 +224,46 @@ class TestSynthesize:
             (0, True, "shift must be an integer"),
             (1, 1.0, "radius must be an integer"),
             (2, "4", "size must be an integer"),
+            (0, 1.0, "shift must be an integer"),
+            (0, "1", "shift must be an integer"),
+            (1, True, "radius must be an integer"),
+            (1, "1", "radius must be an integer"),
+            (2, True, "size must be an integer"),
+            (2, 1.0, "size must be an integer"),
+            (2, "1", "size must be an integer"),
         ],
     )
     def test_constructor_rejects_non_exact_entries(self, column, value, message):
-        good = synthesize_witness(ProductMeasureSpec((coin_at(0),)))
+        good = synthesize_witness(ProductMeasureSpec((coin_at(0), coin_at(1))))
         columns = [good.shifts, good.radii, good.sizes]
-        columns[column] = (value,)
-        with pytest.raises(ValueError, match=message):
-            SynthesisTrace(*columns)
+        for bad in ((value,), (columns[column][0], value)):
+            columns[column] = bad
+            with pytest.raises(ValueError) as info:
+                SynthesisTrace(*columns)
+            assert str(info.value) == f"{message}, got {value!r}"
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 60).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                st.lists(st.integers(0, 3), min_size=d, max_size=d),
+            )
+        )
+    )
+    def test_partials_match_a_fraction_oracle(self, drawn):
+        # sizes at or above the rule's keep every partial above the floor
+        radii, extra = drawn
+        sizes = [s + e for s, e in zip(choose_uniform_sizes(radii), extra)]
+        trace = SynthesisTrace([0] * len(radii), radii, sizes)
+        defic, want = Fraction(1), []
+        for r, s in zip(radii, sizes):
+            defic *= 1 - Fraction(r, s + 1)
+            want.append(defic)
+        assert list(trace.deficiency_partial) == want
+        assert list(trace.scale_partial) == [1 / q for q in want]
+        entries = trace.scale_partial + trace.deficiency_partial
+        assert all(type(q) is Fraction for q in entries)
 
     def test_constructor_rejects_small_sizes(self):
         with pytest.raises(ValueError, match=r"size 4 at coordinate 0 is not > 2\*2"):
